@@ -385,7 +385,7 @@ type ltInstScrape struct {
 
 // ltScrapeInstanceCache reads the instance-cache and schedule-stage-cache
 // counters from one /metrics scrape. A failed scrape or a server without the
-// series (pre-instance-cache build, --instance-cache -1) reports ok=false.
+// series (a build predating the instance cache) reports ok=false.
 func ltScrapeInstanceCache(httpc *http.Client, base string) (s ltInstScrape) {
 	resp, err := httpc.Get(base + "/metrics")
 	if err != nil {

@@ -240,11 +240,11 @@ func validateChoices(flagName string, given, valid []string) error {
 // resolve validates them and materializes the scenario list, size list, and
 // base Spec.
 type specFlags struct {
-	scenarios, ns, graph, engine           *string
-	seeds, workers, lookDepth              *int
-	seed                                   *uint64
-	gamma, delta, alpha, beta, noise       *float64
-	verify, incr, noLookahead, noInstCache *bool
+	scenarios, ns, graph, engine     *string
+	seeds, workers                   *int
+	seed                             *uint64
+	gamma, delta, alpha, beta, noise *float64
+	verify                           *bool
 }
 
 func addSpecFlags(fs *flag.FlagSet, defaultN string, defaultSeeds int) *specFlags {
@@ -261,13 +261,7 @@ func addSpecFlags(fs *flag.FlagSet, defaultN string, defaultSeeds int) *specFlag
 		noise:     fs.Float64("noise", 0, "ambient noise N"),
 		verify:    fs.Bool("verify", true, "verify every slot against the SINR condition, escalating γ on failure"),
 		engine:    fs.String("verify-engine", schedule.EngineFast, "SINR verification engine (fast, naive)"),
-		incr:      fs.Bool("verify-incremental", true, "reuse exact slot verdicts across γ escalations (fast engine; identical results, less work)"),
-		noLookahead: fs.Bool("no-lookahead", false,
-			"build each γ escalation's conflict graph from scratch instead of filtering one strength-annotated lookahead build (identical results, more work)"),
-		lookDepth: fs.Int("lookahead-depth", 1, "γ-escalation steps the lookahead build covers ahead of the current γ"),
-		noInstCache: fs.Bool("no-instance-cache", false,
-			"rebuild nodes+EMST+lookahead per spec instead of sharing one deployment build across specs that differ only in scheduling knobs (identical results, more work)"),
-		workers: fs.Int("workers", 0, "parallel instances (0 = GOMAXPROCS)"),
+		workers:   fs.Int("workers", 0, "parallel instances (0 = GOMAXPROCS)"),
 	}
 }
 
@@ -288,17 +282,13 @@ func (sf *specFlags) resolve() ([]experiment.Scenario, []int, experiment.Spec, e
 		return nil, nil, zero, err
 	}
 	base := experiment.Spec{
-		Seed:                *sf.seed,
-		Graph:               *sf.graph,
-		Gamma:               *sf.gamma,
-		Delta:               *sf.delta,
-		SINR:                sinr.Params{Alpha: *sf.alpha, Beta: *sf.beta, Noise: *sf.noise, Epsilon: 0.5},
-		Verify:              *sf.verify,
-		VerifyEngine:        *sf.engine,
-		NoIncrementalVerify: !*sf.incr,
-		NoLookahead:         *sf.noLookahead,
-		NoInstanceCache:     *sf.noInstCache,
-		GammaLookahead:      *sf.lookDepth,
+		Seed:         *sf.seed,
+		Graph:        *sf.graph,
+		Gamma:        *sf.gamma,
+		Delta:        *sf.delta,
+		SINR:         sinr.Params{Alpha: *sf.alpha, Beta: *sf.beta, Noise: *sf.noise, Epsilon: 0.5},
+		Verify:       *sf.verify,
+		VerifyEngine: *sf.engine,
 	}
 	return scList, nList, base, nil
 }
@@ -686,7 +676,7 @@ type AlgoBench struct {
 	// VerifyWarmSec times a second verification of the same schedule through
 	// the pipeline's incremental cache (every unchanged slot answers from its
 	// cached exact margin); VerifyReusedSlots counts the slots so answered,
-	// out of VerifySlots. Absent when --verify-incremental=false.
+	// out of VerifySlots. Absent under the naive engine.
 	VerifyWarmSec     float64 `json:"verify_warm_sec,omitempty"`
 	VerifyReusedSlots int     `json:"verify_reused_slots,omitempty"`
 	VerifySlots       int     `json:"verify_slots,omitempty"`
@@ -752,8 +742,6 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	preset := fs.String("scenario", "uniform", "scenario preset to benchmark on")
 	algos := fs.String("algo", strings.Join(scheduler.Names(), ","), "comma-separated algorithms to time the pipeline with")
 	engine := fs.String("verify-engine", schedule.EngineFast, "SINR verification engine (fast, naive)")
-	incr := fs.Bool("verify-incremental", true, "reuse exact slot verdicts across γ escalations and report the warm re-verify split")
-	noLookahead := fs.Bool("no-lookahead", false, "rebuild the conflict graph from scratch at every γ escalation instead of filtering the lookahead build")
 	procs := fs.String("procs", "0", "comma-separated GOMAXPROCS values to sweep (0 = NumCPU); one bench run each")
 	out := fs.String("out", "BENCH_pipeline.json", "output path ('-' = stdout)")
 	timeout := fs.Duration("timeout", 0, "cancel the sweep after this duration, writing the entries completed so far (0 = none)")
@@ -795,7 +783,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	report := BenchReport{Scenario: *preset, Seed: *seed}
 	var sweepErr error
 	for _, p := range procList {
-		run, err := benchRun(ctx, sc, nList, algoList, p, *naiveMax, *seed, *engine, *incr, *noLookahead, stderr)
+		run, err := benchRun(ctx, sc, nList, algoList, p, *naiveMax, *seed, *engine, stderr)
 		// A cancelled sweep still writes the completed entries (partial
 		// runs included); any other error aborts without a report.
 		if err != nil && ctx.Err() == nil {
@@ -828,7 +816,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 // NumCPU), restoring the previous setting before returning. A ctx cancel
 // stops the sweep and returns the entries completed so far with ctx.Err().
 func benchRun(ctx context.Context, sc scenario.Spec, nList []int, algoList []string,
-	procsWanted, naiveMax int, seed uint64, engine string, incremental, noLookahead bool, stderr io.Writer) (BenchRun, error) {
+	procsWanted, naiveMax int, seed uint64, engine string, stderr io.Writer) (BenchRun, error) {
 	if procsWanted > 0 {
 		prev := runtime.GOMAXPROCS(procsWanted)
 		defer runtime.GOMAXPROCS(prev)
@@ -877,8 +865,6 @@ func benchRun(ctx context.Context, sc scenario.Spec, nList []int, algoList []str
 			spec := experiment.NewSpec(sc, n, seed)
 			spec.Algo = algo
 			spec.VerifyEngine = engine
-			spec.NoIncrementalVerify = !incremental
-			spec.NoLookahead = noLookahead
 			t0 = time.Now()
 			inst, res, err := experiment.NewInstance(ctx, spec)
 			sec := time.Since(t0).Seconds()
@@ -919,7 +905,7 @@ func benchRun(ctx context.Context, sc scenario.Spec, nList []int, algoList []str
 			}
 			ab.ExactPairsFrac = vst.Engine.ExactPairsFrac()
 			ab.VerifyRefinedCells = vst.Engine.RefinedCells
-			if incremental && engine == schedule.EngineFast {
+			if engine == schedule.EngineFast {
 				// Warm pass: the escalation loop's cache holds every slot of
 				// the final schedule, so this measures pure cache-hit
 				// verification of an unchanged schedule.
@@ -993,7 +979,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	queueSize := fs.Int("queue", 64, "bounded job-queue length (submissions beyond it get 503)")
 	maxSpecs := fs.Int("max-specs", 10000, "largest grid a single job may expand to")
 	maxJobs := fs.Int("max-jobs", 1024, "job records retained; oldest finished jobs are evicted past this")
-	instCache := fs.Int("instance-cache", 0, "LRU deployment-build cache entries shared across jobs (0 = default, negative disables)")
+	instCache := fs.Int("instance-cache", 0, "LRU deployment-build cache entries shared across jobs (0 = default)")
 	journalPath := fs.String("journal", "", "job journal path; empty disables durability")
 	journalMax := fs.Int64("journal-max-bytes", 64<<20, "compact the journal once it grows past this many bytes")
 	rateLimit := fs.Float64("rate-limit", 0, "per-client submissions/sec (token bucket); 0 disables")
@@ -1007,6 +993,9 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve takes no positional arguments, got %q", fs.Args())
+	}
+	if *instCache < 0 {
+		return fmt.Errorf("--instance-cache must be >= 0, got %d", *instCache)
 	}
 
 	faults := service.FaultsFromEnv()

@@ -433,4 +433,8 @@ func TestServeFlagValidation(t *testing.T) {
 	if _, stderr, code := runCLI("serve", "--addr", "not-an-address:::"); code != 1 {
 		t.Fatalf("serve with bad addr: code=%d stderr=%s", code, stderr)
 	}
+	if _, stderr, code := runCLI("serve", "--instance-cache", "-1"); code != 1 ||
+		!strings.Contains(stderr, "--instance-cache") {
+		t.Fatalf("serve with negative instance cache: code=%d stderr=%s", code, stderr)
+	}
 }

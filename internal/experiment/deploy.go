@@ -24,6 +24,7 @@ import (
 
 	"aggrate/internal/conflict"
 	"aggrate/internal/geom"
+	"aggrate/internal/lru"
 	"aggrate/internal/mst"
 	"aggrate/internal/schedule"
 	"aggrate/internal/scheduler"
@@ -67,13 +68,79 @@ func schedGammaKey(schedKey string, gamma float64) string {
 	return schedKey + "|" + strconv.FormatFloat(gamma, 'x', -1, 64)
 }
 
-// deployEntry holds the deployment-determined artifacts of one DeployKey.
-// ready is closed when the builder finishes (err says how); after that the
-// artifact fields are immutable and safe to share across instances.
-type deployEntry struct {
+// flight is one singleflight build: its first requester runs the build and
+// closes ready; after that val and err are immutable.
+type flight[V any] struct {
 	ready chan struct{}
+	val   V
 	err   error
+}
 
+func (f *flight[V]) done() bool {
+	select {
+	case <-f.ready:
+		return true
+	default:
+		return false
+	}
+}
+
+// flights is a keyed singleflight over an LRU: concurrent requests for a
+// missing key collapse into one build, which the LRU keeps for the
+// requests that follow. Builds in flight are never evicted — their waiters
+// hold the entry — and a failed build is dropped so the next request
+// retries instead of replaying the error. Safe for concurrent use.
+type flights[V any] struct {
+	mu  sync.Mutex
+	lru *lru.Cache[string, *flight[V]]
+}
+
+// newFlights returns an empty map holding at most maxEntries builds
+// (≤ 0 means unbounded).
+func newFlights[V any](maxEntries int) *flights[V] {
+	c := lru.New[string, *flight[V]](maxEntries, 0)
+	c.Pinned = func(f *flight[V]) bool { return !f.done() }
+	return &flights[V]{lru: c}
+}
+
+// do returns key's value, running build on a miss and publishing its
+// outcome. A waiter whose builder failed runs build itself, under its own
+// context — the cache can delay a request but never fail one on another's
+// behalf. shared reports a value built by another request, so the caller
+// can skip stamping timings for work that never ran on its behalf.
+func (m *flights[V]) do(ctx context.Context, key string, build func() (V, error)) (v V, shared bool, err error) {
+	m.mu.Lock()
+	f, hit := m.lru.Get(key)
+	if !hit {
+		f = &flight[V]{ready: make(chan struct{})}
+		m.lru.Add(key, f, 0)
+	}
+	m.mu.Unlock()
+	if !hit {
+		f.val, f.err = build()
+		close(f.ready)
+		if f.err != nil {
+			m.mu.Lock()
+			m.lru.RemoveFunc(func(_ string, cur *flight[V]) bool { return cur == f })
+			m.mu.Unlock()
+		}
+		return f.val, false, f.err
+	}
+	select {
+	case <-ctx.Done():
+		return v, false, ctx.Err()
+	case <-f.ready:
+	}
+	if f.err != nil {
+		v, err = build()
+		return v, false, err
+	}
+	return f.val, true, nil
+}
+
+// deployEntry holds the deployment-determined artifacts of one DeployKey,
+// immutable and safe to share across instances once built.
+type deployEntry struct {
 	pts  []geom.Point
 	tree *mst.Tree
 
@@ -90,56 +157,15 @@ type deployEntry struct {
 	// by schedGammaKey (SchedKey + the attempt's concrete γ). Strategies are
 	// deterministic in (links, Config) and the cached *schedule.Schedule and
 	// Diag are immutable after publish, so a reused stage is bit-identical
-	// to the build a cold run would have done. Same singleflight protocol as
-	// the deployment itself: the first requester builds, the rest wait.
-	schedMu sync.Mutex
-	scheds  map[string]*schedEntry
-
-	// LRU linkage (guarded by the owning cache's mutex).
-	key        string
-	prev, next *deployEntry
+	// to the build a cold run would have done.
+	scheds *flights[stage]
 }
 
-// schedEntry is one cached pre-power stage product: the schedule skeleton
-// (ordering+coloring) of one (SchedKey, γ) under this deployment. ready is
-// closed when the builder finishes; after that sched/diag are immutable.
-type schedEntry struct {
-	ready chan struct{}
-	err   error
-
+// stage is one pre-power stage product: the schedule skeleton
+// (ordering+coloring) of one (SchedKey, γ) and its strategy diagnostics.
+type stage struct {
 	sched *schedule.Schedule
 	diag  scheduler.Diag
-}
-
-// schedAcquire returns the stage entry for key and whether the caller is its
-// builder. Builders must fill the entry and call schedFinish exactly once;
-// non-builders wait on ready.
-func (e *deployEntry) schedAcquire(key string) (*schedEntry, bool) {
-	e.schedMu.Lock()
-	defer e.schedMu.Unlock()
-	if se, ok := e.scheds[key]; ok {
-		return se, false
-	}
-	if e.scheds == nil {
-		e.scheds = make(map[string]*schedEntry)
-	}
-	se := &schedEntry{ready: make(chan struct{})}
-	e.scheds[key] = se
-	return se, true
-}
-
-// schedFinish publishes the builder's outcome. A failed build is removed so
-// the next attempt retries instead of replaying the error.
-func (e *deployEntry) schedFinish(key string, se *schedEntry, err error) {
-	se.err = err
-	close(se.ready)
-	if err != nil {
-		e.schedMu.Lock()
-		if cur, ok := e.scheds[key]; ok && cur == se {
-			delete(e.scheds, key)
-		}
-		e.schedMu.Unlock()
-	}
 }
 
 // lookaheadFor returns the entry's shared Lookahead armed at the given γ
@@ -161,18 +187,12 @@ func (e *deployEntry) lookaheadFor(top float64) *conflict.Lookahead {
 // build: the first caller generates the deployment while the rest wait on
 // it. Safe for concurrent use.
 type DeployCache struct {
-	mu         sync.Mutex
-	max        int
-	entries    map[string]*deployEntry
-	head, tail *deployEntry
-
-	hits, misses, evictions int64
+	deploys *flights[*deployEntry]
 
 	// Pre-power stage cache counters, across every deployment entry: a hit
 	// is an escalation attempt served by a cached ordering+coloring build
 	// (possibly after waiting for its builder), a miss is an attempt that
-	// built the stage. Atomics so the hot per-attempt path never takes the
-	// cache's LRU lock.
+	// built the stage. Atomics, shared by every deployment's stage map.
 	schedHits, schedMisses atomic.Int64
 }
 
@@ -188,29 +208,23 @@ func NewDeployCache(maxEntries int) *DeployCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultDeployCacheEntries
 	}
-	return &DeployCache{max: maxEntries, entries: make(map[string]*deployEntry)}
+	return &DeployCache{deploys: newFlights[*deployEntry](maxEntries)}
 }
 
 // Len reports the number of cached deployments (including in-flight builds).
 func (dc *DeployCache) Len() int {
-	if dc == nil {
-		return 0
-	}
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return len(dc.entries)
+	dc.deploys.mu.Lock()
+	defer dc.deploys.mu.Unlock()
+	return dc.deploys.lru.Len()
 }
 
 // Stats reports the cache's lifetime hit/miss/eviction counters. A hit is a
 // request served by an existing entry (possibly waiting for its builder);
 // a miss is a request that had to build.
 func (dc *DeployCache) Stats() (hits, misses, evictions int64) {
-	if dc == nil {
-		return 0, 0, 0
-	}
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return dc.hits, dc.misses, dc.evictions
+	dc.deploys.mu.Lock()
+	defer dc.deploys.mu.Unlock()
+	return dc.deploys.lru.Stats()
 }
 
 // SchedStats reports the pre-power stage cache's lifetime hit/miss counters:
@@ -219,170 +233,37 @@ func (dc *DeployCache) Stats() (hits, misses, evictions int64) {
 // rungs landing on a stage another spec already built), misses are attempts
 // that built the stage.
 func (dc *DeployCache) SchedStats() (hits, misses int64) {
-	if dc == nil {
-		return 0, 0
-	}
 	return dc.schedHits.Load(), dc.schedMisses.Load()
 }
 
 // schedFor resolves one escalation attempt's pre-power stage product through
 // dep's stage cache: a hit shares the cached schedule skeleton and strategy
-// diagnostics, a miss runs build (the strategy invocation, exactly as the
-// cold path would) and publishes the product for the attempts that follow.
-// A waiter whose builder failed falls back to a private build under its own
-// context — the cache can delay an attempt but never fail one on another's
-// behalf. reused reports a hit, so the caller can skip stamping stage
-// timings for work that never ran in this instance.
+// diagnostics, a miss runs build (the strategy invocation) and publishes the
+// product for the attempts that follow. reused reports a hit.
 func (dc *DeployCache) schedFor(ctx context.Context, dep *deployEntry, key string,
-	build func() (*schedule.Schedule, scheduler.Diag, error)) (sched *schedule.Schedule, diag scheduler.Diag, reused bool, err error) {
-	se, builder := dep.schedAcquire(key)
-	if builder {
+	build func() (*schedule.Schedule, scheduler.Diag, error)) (*schedule.Schedule, scheduler.Diag, bool, error) {
+	st, reused, err := dep.scheds.do(ctx, key, func() (stage, error) {
 		dc.schedMisses.Add(1)
-		sched, diag, err = build()
-		se.sched, se.diag = sched, diag
-		dep.schedFinish(key, se, err)
-		return sched, diag, false, err
+		sched, diag, err := build()
+		return stage{sched, diag}, err
+	})
+	if reused {
+		dc.schedHits.Add(1)
 	}
-	dc.schedHits.Add(1)
-	select {
-	case <-ctx.Done():
-		return nil, scheduler.Diag{}, false, ctx.Err()
-	case <-se.ready:
-	}
-	if se.err != nil {
-		// Builder failed under its own context; retry cold under ours.
-		sched, diag, err = build()
-		return sched, diag, false, err
-	}
-	return se.sched, se.diag, true, nil
-}
-
-// acquire returns the entry for key and whether the caller is its builder.
-// Builders must fill the entry and call finish exactly once; non-builders
-// wait on ready.
-func (dc *DeployCache) acquire(key string) (*deployEntry, bool) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	if e, ok := dc.entries[key]; ok {
-		dc.hits++
-		dc.moveFront(e)
-		return e, false
-	}
-	dc.misses++
-	e := &deployEntry{
-		ready: make(chan struct{}),
-		las:   make(map[float64]*conflict.Lookahead),
-		key:   key,
-	}
-	dc.entries[key] = e
-	dc.pushFront(e)
-	// Evict least-recently-used completed entries past the budget. In-flight
-	// builds are never evicted — their waiters hold the entry pointer.
-	for n := len(dc.entries); n > dc.max; n-- {
-		victim := dc.tail
-		for victim != nil && !victim.done() {
-			victim = victim.prev
-		}
-		if victim == nil || victim == e {
-			break
-		}
-		dc.unlink(victim)
-		delete(dc.entries, victim.key)
-		dc.evictions++
-	}
-	return e, true
-}
-
-// finish publishes the builder's outcome. A failed build is removed from
-// the cache so the next request retries instead of replaying the error.
-func (dc *DeployCache) finish(e *deployEntry, err error) {
-	e.err = err
-	close(e.ready)
-	if err != nil {
-		dc.mu.Lock()
-		if cur, ok := dc.entries[e.key]; ok && cur == e {
-			dc.unlink(e)
-			delete(dc.entries, e.key)
-		}
-		dc.mu.Unlock()
-	}
-}
-
-func (e *deployEntry) done() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
-}
-
-func (dc *DeployCache) unlink(e *deployEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		dc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		dc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (dc *DeployCache) pushFront(e *deployEntry) {
-	e.prev, e.next = nil, dc.head
-	if dc.head != nil {
-		dc.head.prev = e
-	}
-	dc.head = e
-	if dc.tail == nil {
-		dc.tail = e
-	}
-}
-
-func (dc *DeployCache) moveFront(e *deployEntry) {
-	if dc.head == e {
-		return
-	}
-	dc.unlink(e)
-	dc.pushFront(e)
+	return st.sched, st.diag, reused, err
 }
 
 // deployFor resolves the deployment artifacts for spec through the cache:
 // a hit shares the cached pointset/tree (stamping Timings.DeployReused), a
-// miss builds them exactly as the cold path would, stamping the same stage
-// timings, and publishes the entry for the specs that follow. A waiter
-// whose builder failed (or whose wait was cut by ctx while the builder's
-// own context died) falls back to a cold build under its own context —
-// the cache can delay an instance but never fail one on another's behalf.
+// miss builds them, stamping the per-stage timings, and publishes the entry
+// for the specs that follow.
 func deployFor(ctx context.Context, spec Spec, dc *DeployCache, t *Timings) (*deployEntry, error) {
-	e, builder := dc.acquire(DeployKey(spec))
-	if builder {
-		err := buildDeploy(ctx, spec, e, t)
-		dc.finish(e, err)
-		return e, err
-	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-e.ready:
-	}
-	if e.err != nil {
-		// Builder failed under its own context; retry cold under ours.
-		cold := &deployEntry{
-			ready: make(chan struct{}),
-			las:   make(map[float64]*conflict.Lookahead),
-		}
-		if err := buildDeploy(ctx, spec, cold, t); err != nil {
-			return nil, err
-		}
-		close(cold.ready)
-		return cold, nil
-	}
-	t.DeployReused = true
-	return e, nil
+	e, reused, err := dc.deploys.do(ctx, DeployKey(spec), func() (*deployEntry, error) {
+		e := &deployEntry{las: make(map[float64]*conflict.Lookahead), scheds: newFlights[stage](0)}
+		return e, buildDeploy(ctx, spec, e, t)
+	})
+	t.DeployReused = reused
+	return e, err
 }
 
 // buildDeploy runs the deployment stages (generate, EMST) into e, stamping

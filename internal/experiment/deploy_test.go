@@ -3,6 +3,8 @@ package experiment
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"testing"
 
 	"aggrate/internal/scheduler"
@@ -10,8 +12,8 @@ import (
 
 // TestDeployCacheSharedBuild: a same-deployment strategy grid (one
 // scenario/n/seed, four algorithms) through a shared cache pays generation
-// and EMST exactly once, and every result is bit-identical to a cold,
-// cache-free run of the same spec.
+// and EMST exactly once, and every result is bit-identical to a cold run of
+// the same spec.
 func TestDeployCacheSharedBuild(t *testing.T) {
 	sc := uniformScenario(t)
 	base := NewSpec(sc, 0, 0)
@@ -59,41 +61,31 @@ func TestDeployCacheSharedBuild(t *testing.T) {
 	}
 }
 
-// TestNoInstanceCacheParity: the --no-instance-cache escape hatch rebuilds
-// per spec — no reuse reported, no cache traffic — and stays bit-identical
-// to the cached batch.
-func TestNoInstanceCacheParity(t *testing.T) {
+// TestSharedCacheParity: a batch sharing one instance cache across seeds
+// and algorithms returns, field for field, what one cold experiment.Run per
+// spec returns.
+func TestSharedCacheParity(t *testing.T) {
 	sc := uniformScenario(t)
-	base := NewSpec(sc, 0, 0)
 	algos := []string{scheduler.Greedy, scheduler.DSatur}
-	cached := Expand([]Scenario{sc}, []int{300}, 2, nil, algos, base)
-	baseNC := base
-	baseNC.NoInstanceCache = true
-	uncached := Expand([]Scenario{sc}, []int{300}, 2, nil, algos, baseNC)
-
-	outC, err := (&Runner{Workers: 2}).Run(context.Background(), cached)
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := Expand([]Scenario{sc}, []int{300}, 2, nil, algos, NewSpec(sc, 0, 0))
 	dc := NewDeployCache(0)
-	outN, err := (&Runner{Workers: 2, Deploy: dc}).Run(context.Background(), uncached)
+	out, err := (&Runner{Workers: 2, Deploy: dc}).Run(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses, _ := dc.Stats(); hits != 0 || misses != 0 {
-		t.Fatalf("NoInstanceCache specs touched the cache: hits=%d misses=%d", hits, misses)
+	if hits, _, _ := dc.Stats(); hits == 0 {
+		t.Fatal("same-deployment specs never shared the cache")
 	}
-	for i := range outN {
-		if outN[i].Timings.DeployReused {
-			t.Fatalf("spec %d reused a deployment despite NoInstanceCache", i)
+	for i, spec := range specs {
+		cold := Run(context.Background(), spec)
+		if cold.Timings.DeployReused || cold.Timings.SchedReused {
+			t.Fatalf("spec %d: cold run reports reuse", i)
 		}
-		// The knob is excluded from SpecKey, so the result records must agree
-		// field for field once wall-clock timings are zeroed.
-		outC[i].Timings, outN[i].Timings = Timings{}, Timings{}
-		cj, _ := json.Marshal(outC[i])
-		nj, _ := json.Marshal(outN[i])
-		if string(cj) != string(nj) {
-			t.Fatalf("spec %d: uncached result differs from cached\ncached:   %s\nuncached: %s", i, cj, nj)
+		cold.Timings, out[i].Timings = Timings{}, Timings{}
+		cj, _ := json.Marshal(cold)
+		oj, _ := json.Marshal(out[i])
+		if string(cj) != string(oj) {
+			t.Fatalf("spec %d: shared-cache result differs from cold run\nshared: %s\ncold:   %s", i, oj, cj)
 		}
 	}
 }
@@ -101,8 +93,8 @@ func TestNoInstanceCacheParity(t *testing.T) {
 // TestSchedCacheParity: specs differing only in power scheme share the
 // pre-power stage (conflict build + ordering + coloring) through the
 // deployment entry's stage map — the stage builds once per (SchedKey, γ)
-// rung — and every result stays bit-identical to a cold --no-instance-cache
-// run of the same spec.
+// rung — and every result stays bit-identical to a cold experiment.Run of
+// the same spec.
 func TestSchedCacheParity(t *testing.T) {
 	sc := uniformScenario(t)
 	base := NewSpec(sc, 0, 0)
@@ -145,7 +137,6 @@ func TestSchedCacheParity(t *testing.T) {
 		t.Fatalf("stage sharing too low: hits=%d reused_specs=%d, want >= %d", hits, reusedSpecs, len(specs)-1)
 	}
 	for i, spec := range specs {
-		spec.NoInstanceCache = true
 		cold := Run(context.Background(), spec)
 		if cold.Err != "" {
 			t.Fatalf("cold spec %d failed: %s", i, cold.Err)
@@ -188,9 +179,7 @@ func TestSchedCacheGammaSweep(t *testing.T) {
 	} else if misses == missesBefore {
 		t.Fatalf("gamma=3 spec built nothing: misses stuck at %d", misses)
 	}
-	bCold := b
-	bCold.NoInstanceCache = true
-	cold := Run(context.Background(), bCold)
+	cold := Run(context.Background(), b)
 	cold.Timings, outB[0].Timings = Timings{}, Timings{}
 	cj, _ := json.Marshal(cold)
 	oj, _ := json.Marshal(outB[0])
@@ -231,5 +220,60 @@ func TestDeployCacheEviction(t *testing.T) {
 	}
 	if hits, _, _ := dc.Stats(); hits != 1 {
 		t.Fatalf("retained deployment not reused: hits=%d", hits)
+	}
+}
+
+// TestFlightsFailedBuild: a waiter whose builder fails builds for itself
+// instead of inheriting the error, the failed entry leaves the cache, and
+// an in-flight build is never evicted to make room.
+func TestFlightsFailedBuild(t *testing.T) {
+	m := newFlights[int](1)
+	ctx := context.Background()
+	started, release := make(chan struct{}), make(chan struct{})
+	builderErr := make(chan error, 1)
+	go func() {
+		_, _, err := m.do(ctx, "k", func() (int, error) {
+			close(started)
+			<-release
+			return 0, errors.New("builder failed")
+		})
+		builderErr <- err
+	}()
+	<-started
+	// The in-flight "k" is pinned: adding "other" must not evict it.
+	if v, shared, err := m.do(ctx, "other", func() (int, error) { return 1, nil }); v != 1 || shared || err != nil {
+		t.Fatalf("other: %d %t %v", v, shared, err)
+	}
+	type out struct {
+		v      int
+		shared bool
+		err    error
+	}
+	waiter := make(chan out, 1)
+	go func() {
+		v, shared, err := m.do(ctx, "k", func() (int, error) { return 7, nil })
+		waiter <- out{v, shared, err}
+	}()
+	for {
+		m.mu.Lock()
+		hits, _, _ := m.lru.Stats()
+		m.mu.Unlock()
+		if hits == 1 {
+			break // the waiter holds the in-flight entry
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-builderErr; err == nil {
+		t.Fatal("builder error lost")
+	}
+	if o := <-waiter; o.v != 7 || o.shared || o.err != nil {
+		t.Fatalf("waiter got %+v, want its own build of 7", o)
+	}
+	m.mu.Lock()
+	_, kept := m.lru.Peek("k")
+	m.mu.Unlock()
+	if kept {
+		t.Fatal("failed build stayed cached")
 	}
 }

@@ -84,34 +84,12 @@ type Spec struct {
 	MaxGammaRetries int
 	// GammaStep is the escalation factor (default 1.5).
 	GammaStep float64
-	// NoIncrementalVerify disables the slot-margin cache that carries exact
-	// verdicts across γ-escalation attempts (the VerifySINRDelta path), so
-	// every attempt recomputes every slot. Purely a performance knob — the
-	// cache replays the engine's own exact margins for content-identical
-	// slots, so margins, verdicts, and error messages are the same either
-	// way — hence it does not participate in SpecKey.
-	NoIncrementalVerify bool
-	// NoLookahead disables the γ-lookahead conflict build, so every
-	// escalation attempt pays a full grid rebuild instead of filtering one
-	// strength-annotated build. Like NoIncrementalVerify it is purely a
-	// performance knob — lookahead-filtered graphs are bit-identical to
-	// direct builds (the conflict package's parity and fuzz suites pin
-	// this) — so it does not participate in SpecKey.
-	NoLookahead bool
 	// GammaLookahead is how many escalation rungs beyond the current γ the
 	// lookahead build covers (default 1: each build also serves the next
-	// retry; measured builds at γ·step cost only ~1.3× the build at γ, so
-	// deeper windows trade more up-front edges for rarely-used coverage).
-	// Escalations past the window re-arm a fresh lookahead at the new γ.
-	// A performance knob like NoLookahead: excluded from SpecKey.
+	// retry). Escalations past the window re-arm a fresh lookahead at the
+	// new γ. It changes only how much of the build is shared, never a
+	// result, so it does not participate in SpecKey.
 	GammaLookahead int
-	// NoInstanceCache opts this spec out of the batch runner's stage-split
-	// instance cache (the DeployCache), so the deployment (pointset, EMST,
-	// lookahead builds) is generated cold even when a same-deployment spec
-	// already built it. Another pure performance knob: cached deployments
-	// are the exact artifacts a cold run builds, results are bit-identical
-	// either way — so it does not participate in SpecKey.
-	NoInstanceCache bool
 }
 
 // Scenario is the deployment-generator dependency of the runner. It is the
@@ -306,7 +284,7 @@ type Instance struct {
 	// global power control, without re-solving cached slots).
 	pf schedule.PowerFunc
 	// vc is the incremental verification cache the escalation loop used
-	// (nil when Spec.NoIncrementalVerify or Verify was off); it holds the
+	// (nil when the engine is naive or Verify was off); it holds the
 	// exact margin of every slot of the final schedule, so
 	// ReverifyIncremental answers from cached verdicts.
 	vc *schedule.VerifyCache
@@ -337,9 +315,9 @@ func (in *Instance) VerifySchedule(engine string) (float64, schedule.VerifyStats
 // incremental cache: every slot already certified during the escalation loop
 // answers from its cached exact margin, so a clean re-check of an unchanged
 // schedule does no engine work (VerifyStats.ReusedSlots == VerifyStats.Slots).
-// It falls back to a full recompute when the run kept no cache (naive engine,
-// Verify off, or Spec.NoIncrementalVerify). This is the warm path the bench
-// command reports as verify_warm_sec.
+// It falls back to a full recompute when the run kept no cache (naive engine
+// or Verify off). This is the warm path the bench command reports as
+// verify_warm_sec.
 func (in *Instance) ReverifyIncremental() (float64, schedule.VerifyStats, error) {
 	if in.Schedule == nil || in.pf == nil {
 		return 0, schedule.VerifyStats{}, fmt.Errorf("experiment: instance has no schedule to verify")
@@ -410,8 +388,8 @@ type Timings struct {
 	VerifyExactPairsFrac float64 `json:"verify_exact_pairs_frac,omitempty"`
 	// VerifyReusedSlots counts slot verifications answered from the
 	// incremental cache (content-identical slot seen on an earlier
-	// γ-escalation attempt), summed over attempts. Zero when incremental
-	// verification is disabled or no attempt shared a slot.
+	// γ-escalation attempt), summed over attempts. Zero under the naive
+	// engine or when no attempt shared a slot.
 	VerifyReusedSlots int64 `json:"verify_reused_slots,omitempty"`
 	// VerifyGridReused counts slot verifications that recomputed a margin
 	// over a cached built sender grid (same membership as an earlier slot,
@@ -510,13 +488,14 @@ const marginClamp = 1e30
 // cancel or deadline stops the pipeline at the next stage, chunk, or slot
 // boundary; the returned Result then carries the context error.
 func Run(ctx context.Context, spec Spec) *Result {
-	res, _ := runWS(ctx, spec, nil, nil)
+	res, _ := runWS(ctx, spec, nil, NewDeployCache(1))
 	return res
 }
 
-// runWS is Run with an optional per-worker workspace and shared instance
-// cache, returning the raw pipeline error alongside (so batch runners can
-// distinguish a cancelled instance from a failed one).
+// runWS is Run with an optional per-worker workspace and the instance cache
+// to resolve the deployment and stage products through, returning the raw
+// pipeline error alongside (so batch runners can distinguish a cancelled
+// instance from a failed one).
 func runWS(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache) (*Result, error) {
 	_, res, err := newInstance(ctx, spec, ws, dc)
 	if err != nil {
@@ -540,7 +519,7 @@ func runWS(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache) (*Res
 // materialized artifacts and the metric record. On error the partially
 // filled Result (if any) is returned alongside. Cancellation: see Run.
 func NewInstance(ctx context.Context, spec Spec) (*Instance, *Result, error) {
-	return newInstance(ctx, spec, nil, nil)
+	return newInstance(ctx, spec, nil, NewDeployCache(1))
 }
 
 // Workspace owns the per-worker scratch a batch runner reuses across
@@ -603,21 +582,12 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	// Stage-boundary cancellation points: the stages themselves (conflict
 	// build, verification) also check ctx at chunk/slot granularity, so a
 	// cancel stops an instance within one chunk of work.
-	// Deployment stages (generate, EMST), possibly shared: with an instance
-	// cache the deployment comes from (or is published to) the batch-wide
-	// DeployCache; cold runs build a private, uncached entry through the
-	// exact same path.
-	var dep *deployEntry
-	if dc != nil && !spec.NoInstanceCache {
-		dep, err = deployFor(ctx, spec, dc, &res.Timings)
-		if err != nil {
-			return nil, res, err
-		}
-	} else {
-		dep = &deployEntry{las: make(map[float64]*conflict.Lookahead)}
-		if err := buildDeploy(ctx, spec, dep, &res.Timings); err != nil {
-			return nil, res, err
-		}
+	// Deployment stages (generate, EMST), possibly shared: the deployment
+	// comes from (or is published to) dc — batch-wide in a Runner, private
+	// to the instance under Run and NewInstance.
+	dep, err := deployFor(ctx, spec, dc, &res.Timings)
+	if err != nil {
+		return nil, res, err
 	}
 	pts, tree := dep.pts, dep.tree
 
@@ -646,7 +616,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	}
 
 	inst := &Instance{Spec: spec, Points: pts, Tree: tree, pf: pf}
-	if spec.Verify && !spec.NoIncrementalVerify && spec.VerifyEngine == schedule.EngineFast {
+	if spec.Verify && spec.VerifyEngine == schedule.EngineFast {
 		// One cache across all γ-escalation attempts: any slot the next
 		// attempt's schedule shares with a previous one (same membership,
 		// same powers) replays its exact margin instead of re-running the
@@ -655,63 +625,41 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	}
 	gamma := spec.Gamma
 	var la *conflict.Lookahead
-	// Pre-power stage cache: with a shared deployment entry, the stage
-	// product of each attempt (conflict build + ordering + coloring — the
-	// schedule skeleton, everything before powers enter) is keyed under
-	// (SchedKey, concrete γ) in the entry, so power-scheme-only spec
-	// variants and γ-sweeps share one build per rung.
-	schedCached := dc != nil && !spec.NoInstanceCache
-	var skey string
-	if schedCached {
-		skey = SchedKey(spec)
-	}
+	// Pre-power stage cache: the stage product of each attempt (conflict
+	// build + ordering + coloring — the schedule skeleton, everything before
+	// powers enter) is keyed under (SchedKey, concrete γ) in the deployment
+	// entry, so power-scheme-only spec variants and γ-sweeps share one build
+	// per rung.
+	skey := SchedKey(spec)
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return inst, res, err
 		}
-		// buildStage is the cold stage body: arm the γ-lookahead and invoke
-		// the strategy. The stage cache calls it on a miss; the uncached
-		// path calls it directly — one code path either way, so cached
-		// products are the exact objects a cold run builds.
+		// buildStage is the stage body the cache runs on a miss: arm the
+		// γ-lookahead and invoke the strategy.
 		buildStage := func() (*schedule.Schedule, scheduler.Diag, error) {
 			cfg := spec.config(gamma)
 			if ws != nil {
 				cfg.WS = ws.coloring
 			}
-			if !spec.NoLookahead {
-				// γ-lookahead: arm (or re-arm, when escalation left the
-				// window) a build ceiling Spec.GammaLookahead rungs above the
-				// current γ, clamped to the rungs that can still occur. The
-				// ceiling is computed by iterated multiplication — exactly how
-				// the loop escalates γ — so every reachable rung compares
-				// equal to it.
-				if la == nil || gamma > la.GammaMax() {
-					depth := spec.GammaLookahead
-					if r := spec.MaxGammaRetries - attempt; r < depth {
-						depth = r
-					}
-					top := gamma
-					for i := 0; i < depth; i++ {
-						top *= spec.GammaStep
-					}
-					// The deployment entry shares one Lookahead per ceiling,
-					// so same-deployment specs pay the annotated build once; a
-					// cold (uncached) entry degenerates to a private
-					// Lookahead.
-					la = dep.lookaheadFor(top)
+			// γ-lookahead: arm (or re-arm, when escalation left the window) a
+			// build ceiling Spec.GammaLookahead rungs above the current γ,
+			// clamped to the rungs that can still occur. The ceiling is
+			// computed by iterated multiplication — exactly how the loop
+			// escalates γ — so every reachable rung compares equal to it. The
+			// deployment entry shares one Lookahead per ceiling, so
+			// same-deployment specs pay the annotated build once.
+			if la == nil || gamma > la.GammaMax() {
+				top := gamma
+				for i := 0; i < min(spec.GammaLookahead, spec.MaxGammaRetries-attempt); i++ {
+					top *= spec.GammaStep
 				}
-				cfg.Lookahead = la
+				la = dep.lookaheadFor(top)
 			}
+			cfg.Lookahead = la
 			return strat.Schedule(ctx, links, cfg)
 		}
-		var sched *schedule.Schedule
-		var diag scheduler.Diag
-		var reused bool
-		if schedCached {
-			sched, diag, reused, err = dc.schedFor(ctx, dep, schedGammaKey(skey, gamma), buildStage)
-		} else {
-			sched, diag, err = buildStage()
-		}
+		sched, diag, reused, err := dc.schedFor(ctx, dep, schedGammaKey(skey, gamma), buildStage)
 		if err != nil {
 			return nil, res, err
 		}
@@ -828,9 +776,8 @@ type Runner struct {
 	// Deploy is the stage-split instance cache shared by the batch: specs
 	// with equal DeployKeys (same scenario, n, seed, sink) share one
 	// generation + EMST + lookahead build. Nil means Run creates a private
-	// cache per batch — the compare-grid case — so sharing is on by
-	// default; individual specs opt out via Spec.NoInstanceCache. The
-	// serving layer installs a server-wide cache here instead.
+	// cache per batch — the compare-grid case. The serving layer installs a
+	// server-wide cache here instead.
 	Deploy *DeployCache
 }
 

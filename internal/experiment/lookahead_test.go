@@ -3,9 +3,13 @@ package experiment
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aggrate/internal/coloring"
+	"aggrate/internal/conflict"
 )
 
 // escalatingSpec is the deterministic near-threshold fixture: G_γ at
@@ -57,47 +61,31 @@ func TestEscalationLookaheadReuse(t *testing.T) {
 	}
 }
 
-// TestLookaheadMatchesDirectRun is the end-to-end parity half: the lookahead
-// run and a --no-lookahead run must land on the identical schedule — same
-// escalation count, same final γ, same palette, same conflict-graph size,
-// same worst margin — because filtered graphs are bit-identical to direct
-// builds.
+// TestLookaheadMatchesDirectRun is the end-to-end parity half: the final
+// schedule of an escalating run, whose conflict graph came from a lookahead
+// filter scan, must equal the direct oracles at the γ it landed on — a
+// fresh conflict.Build at GammaUsed, colored by a fresh length-order
+// first-fit.
 func TestLookaheadMatchesDirectRun(t *testing.T) {
-	withLA, resLA, err := NewInstance(context.Background(), escalatingSpec(t))
+	inst, res, err := NewInstance(context.Background(), escalatingSpec(t))
 	if err != nil {
 		t.Fatalf("lookahead run: %v", err)
 	}
-	specDirect := escalatingSpec(t)
-	specDirect.NoLookahead = true
-	withoutLA, resDirect, err := NewInstance(context.Background(), specDirect)
+	if !inst.Diag.BuildReused {
+		t.Fatal("fixture's final graph did not come from the lookahead")
+	}
+	f, err := inst.Spec.config(inst.GammaUsed).ConflictFunc()
 	if err != nil {
-		t.Fatalf("direct run: %v", err)
+		t.Fatal(err)
 	}
-	if resDirect.Timings.BuildReused || resDirect.Timings.BuildFilterSec != 0 {
-		t.Fatalf("--no-lookahead run reports lookahead activity: %+v", resDirect.Timings)
+	direct := conflict.Build(inst.Tree.Links, f)
+	if !slices.Equal(inst.Graph.RowPtr, direct.RowPtr) || !slices.Equal(inst.Graph.Neighbors, direct.Neighbors) {
+		t.Fatalf("conflict graph differs at γ=%g: lookahead %d edges vs direct %d edges",
+			inst.GammaUsed, inst.Graph.Edges(), direct.Edges())
 	}
-	if resLA.GammaUsed != resDirect.GammaUsed || resLA.GammaRetries != resDirect.GammaRetries {
-		t.Fatalf("escalation differs: lookahead (γ=%g, %d retries) vs direct (γ=%g, %d retries)",
-			resLA.GammaUsed, resLA.GammaRetries, resDirect.GammaUsed, resDirect.GammaRetries)
-	}
-	if resLA.Colors != resDirect.Colors || resLA.ScheduleLength != resDirect.ScheduleLength {
-		t.Fatalf("palette differs: lookahead %d/%d vs direct %d/%d",
-			resLA.Colors, resLA.ScheduleLength, resDirect.Colors, resDirect.ScheduleLength)
-	}
-	if resLA.Edges != resDirect.Edges || resLA.MaxDegree != resDirect.MaxDegree {
-		t.Fatalf("conflict graph differs: lookahead %d edges vs direct %d edges",
-			resLA.Edges, resDirect.Edges)
-	}
-	if resLA.Margin != resDirect.Margin {
-		t.Fatalf("margin differs: lookahead %g vs direct %g", resLA.Margin, resDirect.Margin)
-	}
-	if len(withLA.Colors) != len(withoutLA.Colors) {
-		t.Fatal("coloring lengths differ")
-	}
-	for i := range withLA.Colors {
-		if withLA.Colors[i] != withoutLA.Colors[i] {
-			t.Fatalf("coloring differs at link %d: %d vs %d", i, withLA.Colors[i], withoutLA.Colors[i])
-		}
+	colors, k := coloring.FirstFit(direct, coloring.ByLengthOrder(direct))
+	if res.Colors != k || !slices.Equal(inst.Colors, colors) {
+		t.Fatalf("coloring differs from the direct first-fit: %d vs %d colors", res.Colors, k)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aggrate/internal/lru"
 	"aggrate/internal/par"
 	"aggrate/internal/sinr"
 )
@@ -118,16 +119,18 @@ func hashSlotMembers(slot []int) slotKey {
 // grow without bound across escalation chains.
 const DefaultVerifyCacheBytes = 256 << 20
 
-// vcEntry is one cache line: either a margin (keyed by slot content,
-// membership + powers) or a built slot grid (keyed by membership alone).
-// Entries of both kinds share a single LRU list and byte budget.
+// vcKey addresses one cache line: a margin, keyed by slot content
+// (membership + powers), or a built slot grid, keyed by membership alone.
+type vcKey struct {
+	slot slotKey
+	grid bool
+}
+
+// vcEntry is one cache line's payload: margin for margin lines, g for grid
+// lines.
 type vcEntry struct {
-	key        slotKey
-	grid       bool // which map owns the entry
-	margin     float64
-	g          *sinr.SlotGrid
-	size       int64
-	prev, next *vcEntry
+	margin float64
+	g      *sinr.SlotGrid
 }
 
 // VerifyCache memoizes slot verification work by content key, enabling the
@@ -138,8 +141,8 @@ type vcEntry struct {
 // exact margins keyed by full slot content (membership + powers), and built
 // sender grids + pyramids keyed by membership alone — so a slot that kept
 // its links but changed powers skips the grid build and only refreshes the
-// masses. Both tiers share one LRU list bounded by a byte budget; margins
-// are ~100 bytes each, grids carry their measured SizeBytes, and the
+// masses. Both tiers share one LRU bounded by a byte budget; margins are
+// ~100 bytes each, grids carry their measured SizeBytes, and the
 // least-recently-used entries of either kind are evicted once the budget
 // is exceeded.
 //
@@ -151,13 +154,8 @@ type vcEntry struct {
 // immutable: the engine refreshes into a fresh grid rather than mutating a
 // cached one, so read-only concurrent lookups during a fan-out are safe.
 type VerifyCache struct {
-	p       sinr.Params
-	budget  int64
-	used    int64
-	margins map[slotKey]*vcEntry
-	grids   map[slotKey]*vcEntry
-	// LRU list: head is most recently used, tail is next to evict.
-	head, tail *vcEntry
+	p   sinr.Params
+	lru *lru.Cache[vcKey, vcEntry]
 }
 
 // vcMarginSize approximates the resident cost of one margin entry (struct,
@@ -172,30 +170,30 @@ func NewVerifyCache(p sinr.Params) *VerifyCache {
 
 // NewVerifyCacheBytes returns an empty cache bound to the given params with
 // an explicit byte budget. A budget ≤ 0 disables grid retention and keeps
-// only the margin most recently inserted — still correct, just cold.
+// only the entry most recently inserted — still correct, just cold.
 func NewVerifyCacheBytes(p sinr.Params, budget int64) *VerifyCache {
-	return &VerifyCache{
-		p:       p,
-		budget:  budget,
-		margins: make(map[slotKey]*vcEntry),
-		grids:   make(map[slotKey]*vcEntry),
-	}
+	// Every entry weighs at least vcMarginSize, so a 1-byte budget keeps
+	// only the newest entry.
+	return &VerifyCache{p: p, lru: lru.New[vcKey, vcEntry](0, max(budget, 1))}
 }
 
 // Len reports the number of cached slot margins.
-func (vc *VerifyCache) Len() int {
-	if vc == nil {
-		return 0
-	}
-	return len(vc.margins)
-}
+func (vc *VerifyCache) Len() int { return vc.count(false) }
 
 // GridLen reports the number of cached built slot grids.
-func (vc *VerifyCache) GridLen() int {
+func (vc *VerifyCache) GridLen() int { return vc.count(true) }
+
+func (vc *VerifyCache) count(grid bool) int {
 	if vc == nil {
 		return 0
 	}
-	return len(vc.grids)
+	n := 0
+	for _, k := range vc.lru.Keys() {
+		if k.grid == grid {
+			n++
+		}
+	}
+	return n
 }
 
 // Bytes reports the cache's current charge against its byte budget.
@@ -203,7 +201,7 @@ func (vc *VerifyCache) Bytes() int64 {
 	if vc == nil {
 		return 0
 	}
-	return vc.used
+	return vc.lru.Bytes()
 }
 
 // InvalidateMargins drops every cached margin while keeping the built slot
@@ -215,95 +213,7 @@ func (vc *VerifyCache) InvalidateMargins() {
 	if vc == nil {
 		return
 	}
-	for k, e := range vc.margins {
-		vc.unlink(e)
-		vc.used -= e.size
-		delete(vc.margins, k)
-	}
-}
-
-// unlink removes e from the LRU list.
-func (vc *VerifyCache) unlink(e *vcEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		vc.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		vc.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront makes e the most recently used entry.
-func (vc *VerifyCache) pushFront(e *vcEntry) {
-	e.prev, e.next = nil, vc.head
-	if vc.head != nil {
-		vc.head.prev = e
-	}
-	vc.head = e
-	if vc.tail == nil {
-		vc.tail = e
-	}
-}
-
-// touch moves an existing entry to the front of the LRU list.
-func (vc *VerifyCache) touch(e *vcEntry) {
-	if vc.head == e {
-		return
-	}
-	vc.unlink(e)
-	vc.pushFront(e)
-}
-
-// insertMargin adds (or refreshes) a margin entry and evicts past budget.
-func (vc *VerifyCache) insertMargin(key slotKey, margin float64) {
-	if e, ok := vc.margins[key]; ok {
-		e.margin = margin
-		vc.touch(e)
-		return
-	}
-	e := &vcEntry{key: key, margin: margin, size: vcMarginSize}
-	vc.margins[key] = e
-	vc.used += e.size
-	vc.pushFront(e)
-	vc.evict()
-}
-
-// insertGrid adds (or replaces) a grid entry and evicts past budget. g must
-// not be mutated after insertion.
-func (vc *VerifyCache) insertGrid(key slotKey, g *sinr.SlotGrid) {
-	size := g.SizeBytes() + vcMarginSize
-	if e, ok := vc.grids[key]; ok {
-		vc.used += size - e.size
-		e.g, e.size = g, size
-		vc.touch(e)
-		vc.evict()
-		return
-	}
-	e := &vcEntry{key: key, grid: true, g: g, size: size}
-	vc.grids[key] = e
-	vc.used += size
-	vc.pushFront(e)
-	vc.evict()
-}
-
-// evict drops least-recently-used entries until the budget is respected,
-// always keeping the most recent entry so a single oversized grid still
-// serves the verification that built it.
-func (vc *VerifyCache) evict() {
-	for vc.used > vc.budget && vc.tail != nil && vc.tail != vc.head {
-		e := vc.tail
-		vc.unlink(e)
-		vc.used -= e.size
-		if e.grid {
-			delete(vc.grids, e.key)
-		} else {
-			delete(vc.margins, e.key)
-		}
-	}
+	vc.lru.RemoveFunc(func(k vcKey, _ vcEntry) bool { return !k.grid })
 }
 
 // VerifySINR checks that every slot of the schedule is SINR-feasible under
@@ -393,10 +303,10 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 					continue
 				}
 				if vc != nil {
-					// Both maps are read-only for the whole fan-out (inserts
-					// happen after it), so concurrent lookups are safe.
+					// The cache is read-only for the whole fan-out (inserts
+					// happen after it), so concurrent Peeks are safe.
 					o.key = hashSlot(slot, powers)
-					if e, ok := vc.margins[o.key]; ok {
+					if e, ok := vc.lru.Peek(vcKey{o.key, false}); ok {
 						o.margin, o.reused = e.margin, true
 						if o.margin < 1 {
 							lowerCut(&failCut, int64(k))
@@ -407,13 +317,10 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 					// membership key and verify grid-warm, retaining the
 					// built/refreshed grid for insertion after the fan-out.
 					o.gkey = hashSlotMembers(slot)
-					var cg *sinr.SlotGrid
-					if e, ok := vc.grids[o.gkey]; ok {
-						cg = e.g
-					}
+					cg, _ := vc.lru.Peek(vcKey{o.gkey, true})
 					t0 = time.Now()
 					o.margin, o.grid, o.gridReused, o.mErr =
-						eng.MarginSlotGrid(slot, powers, sc, &o.stats, cg, true)
+						eng.MarginSlotGrid(slot, powers, sc, &o.stats, cg.g, true)
 					o.marginSec = time.Since(t0).Seconds()
 					if o.mErr != nil || o.margin < 1 {
 						lowerCut(&failCut, int64(k))
@@ -442,16 +349,14 @@ func (s *Schedule) VerifySINRDelta(ctx context.Context, p sinr.Params, pf PowerF
 				continue
 			}
 			if o.reused {
-				if e, ok := vc.margins[o.key]; ok {
-					vc.touch(e)
-				}
+				vc.lru.Get(vcKey{o.key, false})
 				continue
 			}
 			if o.mErr == nil {
-				vc.insertMargin(o.key, o.margin)
+				vc.lru.Add(vcKey{o.key, false}, vcEntry{margin: o.margin}, vcMarginSize)
 			}
 			if o.grid != nil {
-				vc.insertGrid(o.gkey, o.grid)
+				vc.lru.Add(vcKey{o.gkey, true}, vcEntry{g: o.grid}, o.grid.SizeBytes()+vcMarginSize)
 			}
 		}
 	}

@@ -124,28 +124,12 @@ func TestInstanceCacheEviction(t *testing.T) {
 	}
 }
 
-// TestInstanceCacheDisabled: a negative size turns the cache off — jobs
-// still complete, every spec rebuilds, and the series stay at zero.
-func TestInstanceCacheDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, InstanceCacheSize: -1})
-	if s.deploy != nil {
-		t.Fatal("negative InstanceCacheSize built a cache")
-	}
-	job := `{"scenarios":["uniform"],"ns":[200],"seeds":1,"seed":7,"algos":["greedy","dsatur"]}`
-	st, code := postJob(t, ts, job)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d", code)
-	}
-	waitStatus(t, ts, st.ID, StatusDone, 30*time.Second)
-	samples := checkExposition(t, scrape(t, ts.URL))
-	for _, name := range []string{
-		"aggrate_instance_cache_hits_total",
-		"aggrate_instance_cache_misses_total",
-		"aggrate_instance_cache_entries",
-	} {
-		if samples[name] != 0 {
-			t.Fatalf("%s = %v with the cache disabled", name, samples[name])
-		}
+// TestInstanceCacheNegativeSize: the instance cache cannot be turned off —
+// a negative size is a configuration error, not a silent opt-out.
+func TestInstanceCacheNegativeSize(t *testing.T) {
+	if s, err := New(Config{InstanceCacheSize: -1}); err == nil {
+		s.Close()
+		t.Fatal("negative InstanceCacheSize accepted")
 	}
 }
 

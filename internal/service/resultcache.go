@@ -1,12 +1,11 @@
 package service
 
 import (
-	"container/list"
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 
 	"aggrate/internal/experiment"
+	"aggrate/internal/lru"
 )
 
 // resultCache is a concurrency-safe LRU over completed experiment results,
@@ -18,39 +17,23 @@ import (
 // would emit, plus a fixed per-entry overhead), with the entry count as a
 // secondary bound: one n=1e6 result weighs its real ~kilobytes against the
 // budget instead of counting the same as a 60-node toy, so maxBytes caps
-// actual memory rather than entry count.
+// actual memory rather than entry count. The newest entry always stays,
+// even when it alone exceeds maxBytes — refusing it would make the largest
+// results permanently uncacheable, the exact case the byte budget exists to
+// manage.
 type resultCache struct {
-	mu       sync.Mutex
-	maxItems int
-	maxBytes int64
-	bytes    int64
-	order    *list.List // front = most recently used
-	items    map[string]*list.Element
-
-	hits, misses, evictions atomic.Int64
-}
-
-type cacheEntry struct {
-	key  string
-	res  *experiment.Result
-	size int64
+	mu  sync.Mutex
+	lru *lru.Cache[string, *experiment.Result]
 }
 
 // cacheEntryOverhead approximates the per-entry bookkeeping (list element,
 // map slot, struct headers) added on top of the encoded payload.
 const cacheEntryOverhead = 256
 
+// newResultCache returns an empty cache bounded by maxItems entries and
+// maxBytes bytes (Config.withDefaults makes both positive).
 func newResultCache(maxItems int, maxBytes int64) *resultCache {
-	if maxItems < 1 {
-		maxItems = 1
-	}
-	if maxBytes < 1 {
-		maxBytes = 256 << 20
-	}
-	return &resultCache{
-		maxItems: maxItems, maxBytes: maxBytes,
-		order: list.New(), items: make(map[string]*list.Element),
-	}
+	return &resultCache{lru: lru.New[string, *experiment.Result](maxItems, maxBytes)}
 }
 
 // approxResultSize is the eviction weight of one cached result: its JSON
@@ -68,61 +51,35 @@ func approxResultSize(key string, res *experiment.Result) int64 {
 func (c *resultCache) get(key string) (*experiment.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return c.lru.Get(key)
 }
 
 // add inserts (or refreshes) key, evicting least-recently-used entries until
-// both the byte and entry budgets hold. The newest entry always stays, even
-// when it alone exceeds maxBytes — refusing it would make the largest
-// results permanently uncacheable, the exact case the byte budget exists to
-// manage.
+// both the byte and entry budgets hold.
 func (c *resultCache) add(key string, res *experiment.Result) {
 	size := approxResultSize(key, res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.bytes += size - ent.size
-		ent.res, ent.size = res, size
-		c.order.MoveToFront(el)
-		c.evictOver(1)
-		return
-	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, res: res, size: size})
-	c.bytes += size
-	c.evictOver(1)
-}
-
-// evictOver drops LRU entries while either budget is exceeded, always
-// keeping at least keep entries. Callers hold c.mu.
-func (c *resultCache) evictOver(keep int) {
-	for c.order.Len() > keep && (c.order.Len() > c.maxItems || c.bytes > c.maxBytes) {
-		last := c.order.Back()
-		ent := last.Value.(*cacheEntry)
-		c.order.Remove(last)
-		delete(c.items, ent.key)
-		c.bytes -= ent.size
-		c.evictions.Add(1)
-	}
+	c.lru.Add(key, res, size)
 }
 
 // len reports the live entry count.
 func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.lru.Len()
 }
 
 // sizeBytes reports the tracked approximate byte footprint.
 func (c *resultCache) sizeBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes
+	return c.lru.Bytes()
+}
+
+// stats reports the lifetime hit, miss and eviction counters.
+func (c *resultCache) stats() (hits, misses, evictions int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Stats()
 }

@@ -80,8 +80,8 @@ type Config struct {
 	// InstanceCacheSize bounds the server-wide stage-split instance cache
 	// (experiment.DeployCache) in deployments: specs sharing a deployment
 	// prefix (scenario, n, seed) reuse one generation + EMST + lookahead
-	// build across jobs. Negative disables the cache; 0 means
-	// experiment.DefaultDeployCacheEntries.
+	// build across jobs. 0 means experiment.DefaultDeployCacheEntries;
+	// negative is an error.
 	InstanceCacheSize int
 	// MaxSpecs bounds the grid size of a single job. Default 10000.
 	MaxSpecs int
@@ -173,14 +173,18 @@ type Server struct {
 // New starts a Server (and its executor goroutine) with the given config.
 // With a JournalPath configured it first replays the journal: terminal jobs
 // seed the result cache, live ones are re-enqueued to resume. The only
-// error paths are journal open/replay failures.
+// error paths are a negative InstanceCacheSize and journal open/replay
+// failures.
 func New(cfg Config) (*Server, error) {
+	if cfg.InstanceCacheSize < 0 {
+		return nil, fmt.Errorf("service: negative instance cache size %d", cfg.InstanceCacheSize)
+	}
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:          cfg,
 		cache:        newResultCache(cfg.CacheSize, cfg.CacheBytes),
-		deploy:       newDeployCache(cfg.InstanceCacheSize),
+		deploy:       experiment.NewDeployCache(cfg.InstanceCacheSize),
 		metrics:      newMetrics(),
 		limiter:      newRateLimiter(cfg.RateLimit, cfg.RateBurst),
 		drainEst:     &drainEstimator{},
@@ -311,13 +315,16 @@ func (s *Server) registerGauges() {
 		return float64(s.cfg.CacheBytes)
 	})
 	m.registerCounter("aggrate_cache_hits_total", "", "Result-cache hits.", func() float64 {
-		return float64(s.cache.hits.Load())
+		h, _, _ := s.cache.stats()
+		return float64(h)
 	})
 	m.registerCounter("aggrate_cache_misses_total", "", "Result-cache misses.", func() float64 {
-		return float64(s.cache.misses.Load())
+		_, mi, _ := s.cache.stats()
+		return float64(mi)
 	})
 	m.registerCounter("aggrate_cache_evictions_total", "", "Result-cache evictions.", func() float64 {
-		return float64(s.cache.evictions.Load())
+		_, _, ev := s.cache.stats()
+		return float64(ev)
 	})
 	m.registerCounter("aggrate_instance_cache_hits_total", "", "Stage-split instance-cache hits (deployments reused across specs).", func() float64 {
 		h, _, _ := s.deploy.Stats()
@@ -342,15 +349,6 @@ func (s *Server) registerGauges() {
 		_, mi := s.deploy.SchedStats()
 		return float64(mi)
 	})
-}
-
-// newDeployCache resolves the InstanceCacheSize config: negative disables
-// the cache (every spec deploys cold), zero takes the experiment default.
-func newDeployCache(size int) *experiment.DeployCache {
-	if size < 0 {
-		return nil
-	}
-	return experiment.NewDeployCache(size)
 }
 
 // Close hard-stops the server: every live job is cancelled immediately,
@@ -710,9 +708,22 @@ func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
 	if r.Priority < -100 || r.Priority > 100 {
 		return nil, fmt.Errorf("priority %d out of range [-100, 100]", r.Priority)
 	}
+	// Zero means "default" for every numeric field below; a value the
+	// pipeline would otherwise replace with its default is refused instead.
 	seeds := r.Seeds
-	if seeds < 1 {
+	switch {
+	case seeds < 0:
+		return nil, fmt.Errorf("seeds %d is negative", seeds)
+	case seeds == 0:
 		seeds = 1
+	case seeds > maxSpecs:
+		return nil, fmt.Errorf("seeds %d exceeds the server limit of %d specs", seeds, maxSpecs)
+	}
+	if r.Gamma < 0 {
+		return nil, fmt.Errorf("gamma %g is negative", r.Gamma)
+	}
+	if r.Delta < 0 || r.Delta >= 1 {
+		return nil, fmt.Errorf("delta %g out of range [0, 1)", r.Delta)
 	}
 	seed := r.Seed
 	if seed == 0 {
@@ -741,8 +752,14 @@ func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
 	if err := base.SINR.Validate(); err != nil {
 		return nil, err
 	}
-	if total := len(scList) * len(ns) * seeds * len(powers) * len(algos); total > maxSpecs {
-		return nil, fmt.Errorf("grid expands to %d specs, server limit is %d", total, maxSpecs)
+	// Overflow-checked grid size: total·d > maxSpecs exactly when
+	// d > maxSpecs/total, so no product past the limit is ever formed.
+	total := 1
+	for _, d := range []int{len(scList), len(ns), seeds, len(powers), len(algos)} {
+		if d > maxSpecs/total {
+			return nil, fmt.Errorf("grid expands past the server limit of %d specs", maxSpecs)
+		}
+		total *= d
 	}
 	return experiment.Expand(scList, ns, seeds, powers, algos, base), nil
 }
@@ -1093,11 +1110,6 @@ func (s *Server) runJob(j *job) {
 		miss := make([]experiment.Spec, len(missIdx))
 		for k, i := range missIdx {
 			miss[k] = j.specs[i]
-			if s.deploy == nil {
-				// Instance cache disabled by config: opt every spec out so the
-				// runner's per-batch fallback cache stays unused too.
-				miss[k].NoInstanceCache = true
-			}
 		}
 		s.activeWorkers.Store(int64(experiment.Workers(s.cfg.Workers, len(miss))))
 		runner := experiment.Runner{Workers: s.cfg.Workers, Deploy: s.deploy, Drain: j.drainCtx, Sink: func(k int, r *experiment.Result) {

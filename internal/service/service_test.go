@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -136,6 +137,13 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad engine", `{"scenarios":["uniform"],"verify_engine":"warp"}`, "unknown verify_engine"},
 		{"bad alpha", `{"scenarios":["uniform"],"alpha":1.5}`, "alpha"},
 		{"oversized grid", `{"scenarios":["uniform"],"ns":[100,200],"seeds":6}`, "server limit"},
+		// 2^62 seeds × 4 algos wraps an unchecked int product to 0.
+		{"overflowing grid", `{"scenarios":["uniform"],"seeds":4611686018427387904,` +
+			`"algos":["greedy","dsatur","jp","lengthclass"]}`, "seeds"},
+		{"negative seeds", `{"scenarios":["uniform"],"seeds":-1}`, "seeds"},
+		{"negative gamma", `{"scenarios":["uniform"],"gamma":-2}`, "gamma"},
+		{"negative delta", `{"scenarios":["uniform"],"delta":-0.5}`, "delta"},
+		{"delta one", `{"scenarios":["uniform"],"delta":1}`, "delta"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,8 +159,8 @@ func TestSubmitValidation(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, buf.String())
 			}
-			if !strings.Contains(buf.String(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", buf.String(), tc.wantErr)
+			if !strings.Contains(buf.String(), tc.wantErr) || !strings.Contains(buf.String(), CodeBadRequest) {
+				t.Fatalf("error %q does not mention %q and %q", buf.String(), tc.wantErr, CodeBadRequest)
 			}
 		})
 	}
@@ -160,6 +168,17 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("unknown job id: err=%v status=%d, want 404", err, resp.StatusCode)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// TestSpecsGridOverflow: with a limit too large for the seeds check to
+// catch it, a grid whose size overflows int is still refused by the
+// checked product rather than wrapping into Expand.
+func TestSpecsGridOverflow(t *testing.T) {
+	r := JobRequest{Scenarios: []string{"uniform"}, Seeds: 1 << 62,
+		Algos: []string{"greedy", "dsatur", "jp", "lengthclass"}}
+	if _, err := r.specs(math.MaxInt); err == nil || !strings.Contains(err.Error(), "server limit") {
+		t.Fatalf("overflowing grid: err=%v, want a server-limit error", err)
 	}
 }
 
