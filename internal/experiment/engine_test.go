@@ -166,7 +166,7 @@ func FuzzEngineMatchesNaive(f *testing.F) {
 			t.Fatal(err)
 		}
 		powers := []string{PowerUniform, PowerMean, PowerLinear, PowerGlobal}
-		alphas := []float64{2.1, 3, 4}
+		alphas := []float64{2.1, 3, 4, 2}
 		spec := NewSpec(sc, 16+int(n)%240, seed)
 		spec.Power = powers[int(pwPick)%len(powers)]
 		spec.Algo = scheduler.Names()[int(algoPick)%len(scheduler.Names())]

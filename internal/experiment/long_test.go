@@ -13,8 +13,9 @@ import (
 // AGGRATE_LONG=1 because a full run takes tens of seconds on one core —
 // CI's bench-smoke covers the same invariants at n=20k instead.
 //
-// The hard assertions are correctness (verified schedule, sane stats); the
-// stage split is logged so regressions in any one stage are visible. The
+// The hard assertions are correctness (verified schedule, sane stats, and
+// the margin pinned bit for bit — it is the one check on the huge-slot
+// verify path at full scale); the stage split is logged so regressions in any one stage are visible. The
 // verify stage itself must stay under 15s — the sub-15s *total* pipeline is
 // tracked in BENCH_pipeline.json and ROADMAP.md, with conflict-graph
 // construction (two γ-escalation builds) the remaining dominant cost.
@@ -33,6 +34,9 @@ func TestMillionLinkPipeline(t *testing.T) {
 	}
 	if !res.Verified {
 		t.Fatal("schedule not verified")
+	}
+	if want := 1.2820527199232403; res.Margin != want {
+		t.Errorf("margin = %.17g, want %.17g", res.Margin, want)
 	}
 	tm := res.Timings
 	t.Logf("n=1e6 uniform: total %.2fs (gen %.2f, mst %.2f, build %.2f, filter %.4f, order %.2f, color %.2f, verify %.2f)",

@@ -7,32 +7,35 @@
 //  1. Far-field pyramid. Each slot's senders are bucketed into a dyadic
 //     grid pyramid (the same dyadic machinery style as the internal/conflict
 //     build: a power-of-two base grid plus coarser levels merging 2×2
-//     children). For a receiver, any pyramid node whose sender bounding box
-//     is far relative to its size — max/min squared distance within a factor
-//     θ² — contributes its total power mass over [maxdist, mindist], giving
-//     a certified interval for the interference and hence for the link's
-//     SINR margin. Nearby nodes are opened; base cells are summed exactly.
-//     The first pass runs every link with a deliberately coarse θ, so the
-//     near field stays tiny and the descent costs O(near + log m) per link.
+//     children). A node whose sender bounding box is far relative to its
+//     size — max/min squared distance within a factor θ² — contributes its
+//     total power mass over [maxdist, mindist], giving a certified interval
+//     for the interference and hence for the link's SINR margin. The first
+//     pass walks the pyramid once for the whole slot at a deliberately
+//     coarse θ, classifying nodes against each sender cell's receiver
+//     bounding box so the walk is shared by the cell's members; each member
+//     then re-tests the cell's near base cells against its own receiver and
+//     sums exactly only those that are still near.
 //
 //  2. Adaptive cell refinement. The slot's worst margin is the minimum over
 //     links, so only links whose margin interval reaches below the smallest
 //     interval upper bound U can attain it. Instead of falling straight to
 //     exact pairwise for those, the engine re-descends just the straddling
-//     links with progressively tighter θ from engineThetaLadder — splitting
-//     the cells that were aggregated before — until the candidate set stops
-//     shrinking or a tighter pass would cost more than the exact row.
-//     Intervals at every rung are certified, so mixing rungs is sound.
+//     links, one pyramid walk per link, with progressively tighter θ from
+//     engineThetaLadder — splitting the cells that were aggregated before —
+//     until the candidate set stops shrinking or a tighter pass would cost
+//     more than the exact row. Intervals at every rung are certified, so
+//     mixing rungs is sound.
 //
-//  3. SoA exact kernels. Links still straddling after the ladder are
-//     resolved by the exact pairwise sum, in slot order like the naive
-//     path. Both this fallback and the near-field cell sums run on flat
-//     structure-of-arrays float64 loops (separate x/y/power slices,
-//     cell-ordered copies, no per-link struct loads) specialized per
-//     α ∈ {2, 3, 4} with a math.Pow generic fallback. Every interval is
-//     padded by a relative 1e-9 so floating-point slop between the interval
-//     and exact arithmetic can never eject the true argmin from the
-//     candidate set — the returned margin is always an exactly-computed one.
+//  3. Exact rows. Links still straddling after the ladder are resolved by
+//     the exact pairwise sum, in slot order like the naive path. This
+//     fallback and the near-field cell sums share one kernel, rowSum, a
+//     flat structure-of-arrays float64 loop (separate x/y/power slices,
+//     cell-ordered copies, no per-link struct loads) over powD2's closed
+//     form of d^α. Every interval is padded by a relative 1e-9 so
+//     floating-point slop between the interval and exact arithmetic can
+//     never eject the true argmin from the candidate set — the returned
+//     margin is always an exactly-computed one.
 //
 // The grid pyramid of a slot lives in a SlotGrid, which MarginSlotGrid can
 // hand back to the caller for retention: verification caches keep built
@@ -51,8 +54,10 @@
 package sinr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"aggrate/internal/geom"
 )
@@ -62,26 +67,20 @@ import (
 // floating-point discrepancy between the interval arithmetic and the exact
 // pairwise sum (≈ m·2⁻⁵² ≲ 1e-10 even for million-link slots), so interval
 // containment — and with it the exactness of the returned margin — survives
-// rounding, including the few extra ulps of the reciprocal-multiply
-// near-field kernels.
+// rounding, including the few extra ulps of farBound's reciprocal-multiply.
 const intervalPad = 1e-9
 
 // engineExactCutoff is the slot size at or below which the grid is not worth
 // building and the engine runs the exact pairwise evaluation directly (still
-// on the cached-gain SoA kernels, so small slots skip per-pair math.Pow too).
+// on the cached-gain SoA kernel, so small slots skip per-pair math.Pow too).
 const engineExactCutoff = 64
-
-// exactTile is the row/column tile size of the symmetric exact-all kernel:
-// small enough that two tiles of sender/receiver coordinates and the
-// partner-row accumulators stay L1-resident, large enough to amortize the
-// tile loop overhead.
-const exactTile = 128
 
 // engineThetaLadder2 holds the squared opening thresholds θ² of the adaptive
 // descent, coarsest first. A pyramid node is aggregated when
 // maxdist² ≤ θ²·mindist², i.e. its power mass is localized within a factor θ
 // of its distance, bounding the per-node interval ratio by θ^α. The first
-// rung runs every link: θ=2 keeps the near field to a handful of cells.
+// rung is the shared pass over every link: θ=2 keeps the near field to a
+// handful of cells.
 // Later rungs re-descend only candidate links — straddlers of the slot
 // minimum — trading a (θ−1)⁻² blowup of the near field for interval ratios
 // that approach 1 and evict almost all candidates before the exact fallback.
@@ -102,13 +101,6 @@ const engineRefineMin = 4
 // engineMaxGridDim caps the base-grid resolution (memory is O(dim²)).
 const engineMaxGridDim = 1024
 
-// engineSharedPassMin is the slot size at or above which the coarse first
-// pass runs the cell-shared descent (one pyramid walk per sender cell,
-// amortized over its members) instead of one walk per link. Below it the
-// per-link pass is already cheap and its tighter per-receiver intervals
-// keep the candidate set smaller.
-const engineSharedPassMin = 1 << 13
-
 // FNV-1a over 64-bit words, used for the SlotGrid reuse guards.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -126,9 +118,6 @@ type Engine struct {
 	links     []geom.Link
 	// lenA[i] = l_i^α, the received-signal denominator of link i.
 	lenA []float64
-	// forcePerLink disables the frontier-shared first pass regardless of
-	// slot size; test-only, for pinning shared-vs-per-link margin identity.
-	forcePerLink bool
 }
 
 // pow-mode fast paths for (d²)^(α/2).
@@ -159,12 +148,11 @@ func NewEngine(p Params, links []geom.Link) *Engine {
 	return e
 }
 
-// powD2 returns (d2)^(α/2) = d^α for the squared distance d2. Only the
-// default α=3 path is kept small enough to inline into the descent's
-// far-node bounds (math.Sqrt compiles to a single instruction); α=2, α=4
-// and the generic fractional exponent pay an out-of-line call via powD2Slow.
-// The pairwise sums never come through here — they use the per-α rowSum
-// kernels below.
+// powD2 returns (d2)^(α/2) = d^α for the squared distance d2. It is the
+// only code that knows α: the default α=3 path is small enough to inline
+// into the kernel and the far-node bounds (math.Sqrt compiles to a single
+// instruction); α=2, α=4 and the generic fractional exponent pay an
+// out-of-line call via powD2Slow.
 func (e *Engine) powD2(d2 float64) float64 {
 	if e.powMode == powAlpha3 {
 		return d2 * math.Sqrt(d2)
@@ -187,219 +175,21 @@ func (e *Engine) powD2Slow(d2 float64) float64 {
 }
 
 // rowSum accumulates Σ_j pw[j]/dist(p_j, q)^α into acc over the flat sender
-// arrays, dispatching to the α-specialized SoA kernels. The kernels add
-// terms in slice order, so callers control summation order exactly (the
-// naive-parity contract). This is the order-pinned path: the exact rows
-// that produce returned margins always come through here.
+// arrays — the engine's one pairwise kernel. Terms are added in slice
+// order, so callers control summation order exactly (the naive-parity
+// contract): the exact rows that produce returned margins and the
+// near-field cell sums of the descents all come through here. The py/pw
+// reslices pin their lengths to len(px) so the compiler drops the
+// per-iteration bounds checks and keeps the accumulator in a register.
 func (e *Engine) rowSum(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	switch e.powMode {
-	case powAlpha3:
-		return rowSumA3(acc, px, py, pw, qx, qy)
-	case powAlpha2:
-		return rowSumA2(acc, px, py, pw, qx, qy)
-	case powAlpha4:
-		return rowSumA4(acc, px, py, pw, qx, qy)
-	}
-	return e.rowSumGeneric(acc, px, py, pw, qx, qy)
-}
-
-// rowSumA3 is the α=3 kernel: d³ = d²·√d². The py/pw reslices pin their
-// lengths to len(px) so the compiler drops the per-iteration bounds checks
-// and keeps the accumulator in a register.
-func rowSumA3(acc float64, px, py, pw []float64, qx, qy float64) float64 {
 	py = py[:len(px)]
 	pw = pw[:len(px)]
 	for j := range px {
 		dx := px[j] - qx
 		dy := py[j] - qy
-		d2 := dx*dx + dy*dy
-		acc += pw[j] / (d2 * math.Sqrt(d2))
+		acc += pw[j] / e.powD2(dx*dx+dy*dy)
 	}
 	return acc
-}
-
-// rowSumA2 is the α=2 kernel: d² directly.
-func rowSumA2(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	py = py[:len(px)]
-	pw = pw[:len(px)]
-	for j := range px {
-		dx := px[j] - qx
-		dy := py[j] - qy
-		acc += pw[j] / (dx*dx + dy*dy)
-	}
-	return acc
-}
-
-// rowSumA4 is the α=4 kernel: d⁴ = (d²)².
-func rowSumA4(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	py = py[:len(px)]
-	pw = pw[:len(px)]
-	for j := range px {
-		dx := px[j] - qx
-		dy := py[j] - qy
-		d2 := dx*dx + dy*dy
-		acc += pw[j] / (d2 * d2)
-	}
-	return acc
-}
-
-// rowSumGeneric handles fractional exponents via math.Pow.
-func (e *Engine) rowSumGeneric(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	py = py[:len(px)]
-	pw = pw[:len(px)]
-	for j := range px {
-		dx := px[j] - qx
-		dy := py[j] - qy
-		acc += pw[j] / math.Pow(dx*dx+dy*dy, e.alphaHalf)
-	}
-	return acc
-}
-
-// rowSumFast is the certified-interval counterpart of rowSum: the near-field
-// cell sums of the descent come through here. These kernels batch four gains
-// into one reciprocal (1/(g0·g1·g2·g3), terms recovered by multiplication),
-// trading the four serial divides — the loop-carried latency wall of the
-// plain kernels — for one divide plus a handful of pipelined multiplies.
-// The result differs from left-to-right division by a few ulps, which only
-// perturbs the certified interval endpoints and is absorbed by intervalPad;
-// returned margins are unaffected (they come from the order-pinned rowSum).
-// A degenerate product (underflow to 0, overflow to Inf, NaN from a zero
-// distance) falls back to per-element division for the block, so co-located
-// senders still poison the interval to +Inf exactly like the plain kernel.
-func (e *Engine) rowSumFast(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	switch e.powMode {
-	case powAlpha3:
-		return rowSumFastA3(acc, px, py, pw, qx, qy)
-	case powAlpha2:
-		return rowSumFastA2(acc, px, py, pw, qx, qy)
-	case powAlpha4:
-		return rowSumFastA4(acc, px, py, pw, qx, qy)
-	}
-	return e.rowSumGeneric(acc, px, py, pw, qx, qy)
-}
-
-// rowSumFastA3 is the batched α=3 interval kernel.
-func rowSumFastA3(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	n := len(px)
-	py = py[:n]
-	pw = pw[:n]
-	var acc2 float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		dx0 := px[j] - qx
-		dy0 := py[j] - qy
-		d20 := dx0*dx0 + dy0*dy0
-		g0 := d20 * math.Sqrt(d20)
-		dx1 := px[j+1] - qx
-		dy1 := py[j+1] - qy
-		d21 := dx1*dx1 + dy1*dy1
-		g1 := d21 * math.Sqrt(d21)
-		dx2 := px[j+2] - qx
-		dy2 := py[j+2] - qy
-		d22 := dx2*dx2 + dy2*dy2
-		g2 := d22 * math.Sqrt(d22)
-		dx3 := px[j+3] - qx
-		dy3 := py[j+3] - qy
-		d23 := dx3*dx3 + dy3*dy3
-		g3 := d23 * math.Sqrt(d23)
-		g01 := g0 * g1
-		g23 := g2 * g3
-		if inv := 1 / (g01 * g23); inv > 0 && !math.IsInf(inv, 1) {
-			acc += (pw[j]*g1 + pw[j+1]*g0) * g23 * inv
-			acc2 += (pw[j+2]*g3 + pw[j+3]*g2) * g01 * inv
-		} else {
-			acc += pw[j]/g0 + pw[j+1]/g1
-			acc2 += pw[j+2]/g2 + pw[j+3]/g3
-		}
-	}
-	for ; j < n; j++ {
-		dx := px[j] - qx
-		dy := py[j] - qy
-		d2 := dx*dx + dy*dy
-		acc += pw[j] / (d2 * math.Sqrt(d2))
-	}
-	return acc + acc2
-}
-
-// rowSumFastA2 is the batched α=2 interval kernel.
-func rowSumFastA2(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	n := len(px)
-	py = py[:n]
-	pw = pw[:n]
-	var acc2 float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		dx0 := px[j] - qx
-		dy0 := py[j] - qy
-		g0 := dx0*dx0 + dy0*dy0
-		dx1 := px[j+1] - qx
-		dy1 := py[j+1] - qy
-		g1 := dx1*dx1 + dy1*dy1
-		dx2 := px[j+2] - qx
-		dy2 := py[j+2] - qy
-		g2 := dx2*dx2 + dy2*dy2
-		dx3 := px[j+3] - qx
-		dy3 := py[j+3] - qy
-		g3 := dx3*dx3 + dy3*dy3
-		g01 := g0 * g1
-		g23 := g2 * g3
-		if inv := 1 / (g01 * g23); inv > 0 && !math.IsInf(inv, 1) {
-			acc += (pw[j]*g1 + pw[j+1]*g0) * g23 * inv
-			acc2 += (pw[j+2]*g3 + pw[j+3]*g2) * g01 * inv
-		} else {
-			acc += pw[j]/g0 + pw[j+1]/g1
-			acc2 += pw[j+2]/g2 + pw[j+3]/g3
-		}
-	}
-	for ; j < n; j++ {
-		dx := px[j] - qx
-		dy := py[j] - qy
-		acc += pw[j] / (dx*dx + dy*dy)
-	}
-	return acc + acc2
-}
-
-// rowSumFastA4 is the batched α=4 interval kernel.
-func rowSumFastA4(acc float64, px, py, pw []float64, qx, qy float64) float64 {
-	n := len(px)
-	py = py[:n]
-	pw = pw[:n]
-	var acc2 float64
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		dx0 := px[j] - qx
-		dy0 := py[j] - qy
-		d20 := dx0*dx0 + dy0*dy0
-		g0 := d20 * d20
-		dx1 := px[j+1] - qx
-		dy1 := py[j+1] - qy
-		d21 := dx1*dx1 + dy1*dy1
-		g1 := d21 * d21
-		dx2 := px[j+2] - qx
-		dy2 := py[j+2] - qy
-		d22 := dx2*dx2 + dy2*dy2
-		g2 := d22 * d22
-		dx3 := px[j+3] - qx
-		dy3 := py[j+3] - qy
-		d23 := dx3*dx3 + dy3*dy3
-		g3 := d23 * d23
-		g01 := g0 * g1
-		g23 := g2 * g3
-		if inv := 1 / (g01 * g23); inv > 0 && !math.IsInf(inv, 1) {
-			acc += (pw[j]*g1 + pw[j+1]*g0) * g23 * inv
-			acc2 += (pw[j+2]*g3 + pw[j+3]*g2) * g01 * inv
-		} else {
-			acc += pw[j]/g0 + pw[j+1]/g1
-			acc2 += pw[j+2]/g2 + pw[j+3]/g3
-		}
-	}
-	for ; j < n; j++ {
-		dx := px[j] - qx
-		dy := py[j] - qy
-		d2 := dx*dx + dy*dy
-		acc += pw[j] / (d2 * d2)
-	}
-	return acc + acc2
 }
 
 // EngineStats counts the work the engine performed, for diagnostics and the
@@ -601,21 +391,16 @@ type EngineScratch struct {
 	sig    []float64 // received signals P/l^α
 	lb, ub []float64 // certified margin interval per member
 
-	fill []int32 // CSR fill cursors (grid build only)
+	fill []int32 // CSR fill cursors (grid build, shared-pass near pairs)
 
 	near []int32 // near pairs of each member's latest descent
 	cand []int32 // current candidate members (ascending)
 
 	stack []nodeRef // descent stack
 
-	// Cell-shared first-pass buffers: per-cell receiver bounding boxes, the
-	// near-cell list of the cell being processed, and the flattened copies
-	// of its near-field senders (one contiguous kernel scan per member
-	// instead of one short call per near cell).
-	rminx, rmaxx  []float64
-	rminy, rmaxy  []float64
-	nearCells     []int32
-	fpx, fpy, fpw []float64
+	// Per-cell receiver bounding boxes of the shared first pass.
+	rminx, rmaxx []float64
+	rminy, rmaxy []float64
 
 	// Frontier-shared descent buffers: double-buffered node groups and the
 	// shared still-open cell pool they span, per-cell far-field interval
@@ -780,42 +565,40 @@ func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, s
 	}
 
 	// Tier 1 — coarse interval pass: a certified [lb, ub] margin interval
-	// per link at the widest θ. Huge slots amortize the pyramid walk across
-	// each sender cell's members via the shared descent; smaller slots run
-	// the per-link descent in cell order (the grid's member order), so
-	// neighbors descend near-identical pyramid paths and the tree walk
-	// stays cache-resident. Each variant writes only per-k entries, so the
-	// pass is order-independent.
-	if m >= engineSharedPassMin && !e.forcePerLink {
-		e.descendShared(sc, use, engineThetaLadder2[0], st)
-	} else {
-		for _, mk := range use.members {
-			e.descend(sc, use, int(mk), engineThetaLadder2[0], false, st)
-		}
-	}
-	// Only links whose interval reaches below the smallest upper bound can
+	// per link at the widest θ, from one pyramid walk shared by the slot.
+	e.descendShared(sc, use, engineThetaLadder2[0], st)
+	// Only links whose interval reaches below the smallest upper bound u can
 	// attain the slot minimum.
-	cand := e.candidates(sc, m)
+	cand, u := e.candidates(sc, m)
 
 	// Tier 2 — adaptive refinement: re-descend just the straddlers with
 	// tighter θ until the set is tiny or a pass would out-cost exact rows.
+	// A rung walks its straddlers in ascending upper bound and skips any
+	// whose lower bound an earlier walk's upper bound already undercuts:
+	// the first few walks pull u down to near the slot minimum, so most of
+	// a large shared-pass candidate set never needs its own walk.
 	for rung := 1; rung < len(engineThetaLadder2) && len(cand) > engineRefineMin; rung++ {
 		th2 := engineThetaLadder2[rung]
 		if use.refineCost(th2, m) >= float64(m-1)/2 {
 			break
 		}
+		slices.SortFunc(cand, func(a, b int32) int { return cmp.Compare(sc.ub[a], sc.ub[b]) })
 		for _, k := range cand {
-			e.descend(sc, use, int(k), th2, true, st)
+			if sc.lb[k] > u {
+				continue
+			}
+			e.descend(sc, use, int(k), th2, st)
+			st.RefinedLinks++
+			u = min(u, sc.ub[k])
 		}
-		st.RefinedLinks += int64(len(cand))
-		next := e.candidates(sc, m)
+		next, nu := e.candidates(sc, m)
 		if len(next) >= len(cand) {
 			// No progress: the remaining straddlers are genuinely close to
 			// the minimum; tighter rungs only add cost.
 			cand = next
 			break
 		}
-		cand = next
+		cand, u = next, nu
 	}
 
 	// Tier 3 — exact fallback for the remaining candidates, in slot order
@@ -845,9 +628,10 @@ func (e *Engine) MarginSlotGrid(idx []int, power []float64, sc *EngineScratch, s
 }
 
 // candidates rebuilds the straddler set: members whose margin lower bound
-// does not exceed the smallest certified upper bound. The set is in
-// ascending member order, so the exact fallback preserves naive slot order.
-func (e *Engine) candidates(sc *EngineScratch, m int) []int32 {
+// does not exceed the smallest certified upper bound, which it also
+// returns. The set is in ascending member order, so the exact fallback
+// preserves naive slot order.
+func (e *Engine) candidates(sc *EngineScratch, m int) ([]int32, float64) {
 	u := math.Inf(1)
 	for k := 0; k < m; k++ {
 		if sc.ub[k] < u {
@@ -861,7 +645,7 @@ func (e *Engine) candidates(sc *EngineScratch, m int) []int32 {
 		}
 	}
 	sc.cand = cand
-	return cand
+	return cand, u
 }
 
 // exactOne computes the exact margin of slot member k by the full pairwise
@@ -878,135 +662,14 @@ func (e *Engine) exactOne(sc *EngineScratch, m, k int) float64 {
 	return sc.sig[k] / (e.p.Beta * intf)
 }
 
-// pairRow is one row segment of the symmetric exact-all kernel: it adds to
-// accJ the interference row j receives from partners [t0, t0+len(accT)),
-// and scatters into accT the term each partner's receiver gets from row j's
-// sender — the unordered pair (j, t) is enumerated once, with both directed
-// distances computed (the model is asymmetric: d(S_j,R_t) ≠ d(S_t,R_j)).
-// The two directions form independent dependency chains, so their divides
-// pipeline where the one-row-at-a-time loop stalls. Term expressions and
-// per-row accumulation order match the naive row sums exactly (the tiling
-// in exactAll delivers every row its partners in ascending index order), so
-// the symmetric path is bit-identical to per-row evaluation.
-func (e *Engine) pairRow(accJ float64, accT []float64, sc *EngineScratch, j, t0 int) float64 {
-	switch e.powMode {
-	case powAlpha3:
-		return pairRowA3(accJ, accT, sc.px, sc.py, sc.qx, sc.qy, sc.pw, j, t0)
-	case powAlpha2:
-		return pairRowA2(accJ, accT, sc.px, sc.py, sc.qx, sc.qy, sc.pw, j, t0)
-	case powAlpha4:
-		return pairRowA4(accJ, accT, sc.px, sc.py, sc.qx, sc.qy, sc.pw, j, t0)
-	}
-	return pairRowGeneric(accJ, accT, sc.px, sc.py, sc.qx, sc.qy, sc.pw, j, t0, e.alphaHalf)
-}
-
-// pairRowA3 is the α=3 symmetric kernel.
-func pairRowA3(accJ float64, accT []float64, px, py, qx, qy, pw []float64, j, t0 int) float64 {
-	sxj, syj := px[j], py[j]
-	rxj, ryj := qx[j], qy[j]
-	pwj := pw[j]
-	for i := range accT {
-		t := t0 + i
-		dx := px[t] - rxj
-		dy := py[t] - ryj
-		d2 := dx*dx + dy*dy
-		accJ += pw[t] / (d2 * math.Sqrt(d2))
-		ex := sxj - qx[t]
-		ey := syj - qy[t]
-		e2 := ex*ex + ey*ey
-		accT[i] += pwj / (e2 * math.Sqrt(e2))
-	}
-	return accJ
-}
-
-// pairRowA2 is the α=2 symmetric kernel.
-func pairRowA2(accJ float64, accT []float64, px, py, qx, qy, pw []float64, j, t0 int) float64 {
-	sxj, syj := px[j], py[j]
-	rxj, ryj := qx[j], qy[j]
-	pwj := pw[j]
-	for i := range accT {
-		t := t0 + i
-		dx := px[t] - rxj
-		dy := py[t] - ryj
-		accJ += pw[t] / (dx*dx + dy*dy)
-		ex := sxj - qx[t]
-		ey := syj - qy[t]
-		accT[i] += pwj / (ex*ex + ey*ey)
-	}
-	return accJ
-}
-
-// pairRowA4 is the α=4 symmetric kernel.
-func pairRowA4(accJ float64, accT []float64, px, py, qx, qy, pw []float64, j, t0 int) float64 {
-	sxj, syj := px[j], py[j]
-	rxj, ryj := qx[j], qy[j]
-	pwj := pw[j]
-	for i := range accT {
-		t := t0 + i
-		dx := px[t] - rxj
-		dy := py[t] - ryj
-		d2 := dx*dx + dy*dy
-		accJ += pw[t] / (d2 * d2)
-		ex := sxj - qx[t]
-		ey := syj - qy[t]
-		e2 := ex*ex + ey*ey
-		accT[i] += pwj / (e2 * e2)
-	}
-	return accJ
-}
-
-// pairRowGeneric is the fractional-exponent symmetric kernel.
-func pairRowGeneric(accJ float64, accT []float64, px, py, qx, qy, pw []float64, j, t0 int, alphaHalf float64) float64 {
-	sxj, syj := px[j], py[j]
-	rxj, ryj := qx[j], qy[j]
-	pwj := pw[j]
-	for i := range accT {
-		t := t0 + i
-		dx := px[t] - rxj
-		dy := py[t] - ryj
-		accJ += pw[t] / math.Pow(dx*dx+dy*dy, alphaHalf)
-		ex := sxj - qx[t]
-		ey := syj - qy[t]
-		accT[i] += pwj / math.Pow(ex*ex+ey*ey, alphaHalf)
-	}
-	return accJ
-}
-
-// exactAll is the small-slot/degenerate path: exact margins for every link,
-// via the symmetric tiled kernel — each unordered pair is enumerated once
-// per tile pair, with the forward term accumulated into the active row and
-// the reverse term scattered into the partner row's accumulator. The
-// triangular tile order (diagonal tile first, then the column above it,
-// ascending) delivers every row its partner terms in ascending index order,
-// which makes the accumulation — and therefore the returned margin — bit
-// for bit the same as the per-row naive order exactOne reproduces.
+// exactAll is the small-slot/degenerate path: the exact margin of every
+// link, one naive-order row per link.
 func (e *Engine) exactAll(sc *EngineScratch, m int, st *EngineStats) float64 {
 	st.ExactLinks += int64(m)
 	st.ExactPairs += int64(m) * int64(m-1)
-	acc := sc.lb[:m] // lb doubles as the interference accumulator here
-	for k := range acc {
-		acc[k] = e.p.Noise
-	}
-	for jt := 0; jt < m; jt += exactTile {
-		jEnd := min(jt+exactTile, m)
-		for j := jt; j < jEnd; j++ {
-			acc[j] = e.pairRow(acc[j], acc[j+1:jEnd], sc, j, j+1)
-		}
-		for kt := jEnd; kt < m; kt += exactTile {
-			kEnd := min(kt+exactTile, m)
-			for j := jt; j < jEnd; j++ {
-				acc[j] = e.pairRow(acc[j], acc[kt:kEnd], sc, j, kt)
-			}
-		}
-	}
 	worst := math.Inf(1)
 	for k := 0; k < m; k++ {
-		intf := acc[k]
-		mg := math.Inf(1)
-		if intf != 0 {
-			mg = sc.sig[k] / (e.p.Beta * intf)
-		}
-		if mg < worst {
+		if mg := e.exactOne(sc, m, k); mg < worst {
 			worst = mg
 		}
 	}
@@ -1017,11 +680,10 @@ func (e *Engine) exactAll(sc *EngineScratch, m int, st *EngineStats) float64 {
 // smallest power of two whose square covers m at the target occupancy,
 // clamped to [4, engineMaxGridDim]. The occupancy target adapts to slot
 // size: ≈8 senders per cell keeps refined-ladder cells cheap on the small
-// and mid-size slots, while huge slots coarsen stepwise to 64 per cell —
-// the coarse first pass dominates there, its frontier shrinks ~4× per
-// halving of the base dimension, and the extra near-field pairs are
-// streamed by the batched kernels at a fraction of the traversal cost
-// while staying a vanishing fraction of m².
+// and mid-size slots, while huge slots (≥ 2¹³) coarsen to 16 per cell —
+// the shared first pass's frontier shrinks ~4× per halving of the base
+// dimension, and the extra near-field pairs stay a vanishing fraction of
+// m².
 func gridDim(m int) int {
 	occ := 8
 	if m >= 1<<13 {
@@ -1183,14 +845,57 @@ func cellCoord(off, invCS float64, d0 int) int {
 	return c
 }
 
-// descend computes the certified margin interval of slot member k by a
-// Barnes–Hut-style descent of the pyramid at opening threshold theta2:
-// far nodes contribute aggregated power-mass bounds, near base cells are
-// summed exactly on the SoA kernels, and the member's own sender is
-// excluded wherever it lands (by position in exact cells, by mass
+// dist2 returns the squared distances from a receiver at (qx, qy) to the
+// nearest point and to the farthest corner of n's sender bounding box; the
+// node is far at opening threshold θ² when mind2 > 0 (receiver outside the
+// box) and maxd2 ≤ θ²·mind2. The nearest-point offsets are computed
+// branchlessly (max of the two signed gaps and zero — both gaps are
+// negative inside the box), which the compiler lowers to float max
+// instructions instead of unpredictable branches.
+func (n *engineNode) dist2(qx, qy float64) (mind2, maxd2 float64) {
+	dx := max(n.minX-qx, qx-n.maxX, 0)
+	dy := max(n.minY-qy, qy-n.maxY, 0)
+	fx := max(qx-n.minX, n.maxX-qx)
+	fy := max(qy-n.minY, n.maxY-qy)
+	return dx*dx + dy*dy, fx*fx + fy*fy
+}
+
+// farBound returns the certified interference interval [mass/a, mass/b] of
+// a far node, where a = maxdist^α and b = mindist^α. One divide serves both
+// bounds: 1/(a·b) is recovered into 1/a and 1/b by multiplication. A few
+// ulps of slop land in the certified interval, where intervalPad absorbs
+// them; a degenerate product falls back to the two divides.
+func farBound(mass, a, b float64) (lo, hi float64) {
+	if inv := 1 / (a * b); inv > 0 && !math.IsInf(inv, 1) {
+		return mass * b * inv, mass * a * inv
+	}
+	return mass / a, mass / b
+}
+
+// setInterval turns member k's interference interval [iLo, iHi] (noise
+// included) into its padded certified margin interval.
+func (e *Engine) setInterval(sc *EngineScratch, k int, iLo, iHi float64) {
+	sig := sc.sig[k]
+	if iHi == 0 {
+		sc.lb[k], sc.ub[k] = math.Inf(1), math.Inf(1)
+		return
+	}
+	sc.lb[k] = sig / (e.p.Beta * iHi) * (1 - intervalPad)
+	if iLo == 0 {
+		sc.ub[k] = math.Inf(1)
+	} else {
+		sc.ub[k] = sig / (e.p.Beta * iLo) * (1 + intervalPad)
+	}
+}
+
+// descend is the tier-2 refinement walk: it recomputes the certified margin
+// interval of slot member k by a Barnes–Hut-style descent of the pyramid at
+// opening threshold theta2. Far nodes contribute aggregated power-mass
+// bounds, near base cells are summed exactly, and the member's own sender
+// is excluded wherever it lands (by position in exact cells, by mass
 // subtraction in aggregated nodes). It overwrites sc.lb[k], sc.ub[k] and
-// sc.near[k]; refined marks tighter-ladder passes for the work counters.
-func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, refined bool, st *EngineStats) {
+// sc.near[k].
+func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, st *EngineStats) {
 	d0 := g.d0
 	top := len(g.levelOff) - 1
 	selfCX := int32(int(g.cellOf[k]) % d0)
@@ -1209,38 +914,16 @@ func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, 
 		dim := d0 >> l
 		ni := levelOff[l] + int(nr.y)*dim + int(nr.x)
 		n := &nodes[ni]
-		mass := n.mass
-		if selfCX>>nr.level == nr.x && selfCY>>nr.level == nr.y {
-			mass -= sc.pw[k]
-		}
-		// Squared distances from the receiver to the node's sender bbox:
-		// nearest point of the box, and farthest corner. The nearest-point
-		// offsets are computed branchlessly (max of the two signed gaps and
-		// zero — both gaps are negative inside the box), which the compiler
-		// lowers to float max instructions instead of unpredictable
-		// branches.
-		dx := max(n.minX-qxk, qxk-n.maxX, 0)
-		dy := max(n.minY-qyk, qyk-n.maxY, 0)
-		mind2 := dx*dx + dy*dy
-		fx := max(qxk-n.minX, n.maxX-qxk)
-		fy := max(qyk-n.minY, n.maxY-qyk)
-		maxd2 := fx*fx + fy*fy
-		if mind2 > 0 && maxd2 <= theta2*mind2 {
+		if mind2, maxd2 := n.dist2(qxk, qyk); mind2 > 0 && maxd2 <= theta2*mind2 {
+			mass := n.mass
+			if selfCX>>nr.level == nr.x && selfCY>>nr.level == nr.y {
+				mass -= sc.pw[k]
+			}
 			if mass > 0 {
 				farNodes++
-				// One divide for both bounds: 1/(a·b) recovered into 1/a
-				// and 1/b by multiplication. A few ulps of slop land in
-				// the certified interval, where intervalPad absorbs them;
-				// a degenerate product falls back to the two divides.
-				a := e.powD2(maxd2)
-				b := e.powD2(mind2)
-				if inv := 1 / (a * b); inv > 0 && !math.IsInf(inv, 1) {
-					lo += mass * b * inv
-					hi += mass * a * inv
-				} else {
-					lo += mass / a
-					hi += mass / b
-				}
+				fl, fh := farBound(mass, e.powD2(maxd2), e.powD2(mind2))
+				lo += fl
+				hi += fh
 			}
 			continue
 		}
@@ -1253,11 +936,11 @@ func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, 
 			nearCells++
 			if int32(c) == g.cellOf[k] {
 				tk := g.posOf[k]
-				exact = e.rowSumFast(exact, g.cpx[t0:tk], g.cpy[t0:tk], g.cpw[t0:tk], qxk, qyk)
-				exact = e.rowSumFast(exact, g.cpx[tk+1:t1], g.cpy[tk+1:t1], g.cpw[tk+1:t1], qxk, qyk)
+				exact = e.rowSum(exact, g.cpx[t0:tk], g.cpy[t0:tk], g.cpw[t0:tk], qxk, qyk)
+				exact = e.rowSum(exact, g.cpx[tk+1:t1], g.cpy[tk+1:t1], g.cpw[tk+1:t1], qxk, qyk)
 				nearPairs += int64(t1 - t0 - 1)
 			} else {
-				exact = e.rowSumFast(exact, g.cpx[t0:t1], g.cpy[t0:t1], g.cpw[t0:t1], qxk, qyk)
+				exact = e.rowSum(exact, g.cpx[t0:t1], g.cpy[t0:t1], g.cpw[t0:t1], qxk, qyk)
 				nearPairs += int64(t1 - t0)
 			}
 			continue
@@ -1276,41 +959,28 @@ func (e *Engine) descend(sc *EngineScratch, g *SlotGrid, k int, theta2 float64, 
 	}
 	sc.stack = stack
 	st.FarNodes += farNodes
-	if refined {
-		st.RefinedCells += nearCells
-	}
+	st.RefinedCells += nearCells
 	sc.near[k] = int32(nearPairs)
-
-	iLo := exact + lo + e.p.Noise
-	iHi := exact + hi + e.p.Noise
-	sig := sc.sig[k]
-	if iHi == 0 {
-		sc.lb[k], sc.ub[k] = math.Inf(1), math.Inf(1)
-		return
-	}
-	sc.lb[k] = sig / (e.p.Beta * iHi) * (1 - intervalPad)
-	if iLo == 0 {
-		sc.ub[k] = math.Inf(1)
-	} else {
-		sc.ub[k] = sig / (e.p.Beta * iLo) * (1 + intervalPad)
-	}
+	e.setInterval(sc, k, exact+lo+e.p.Noise, exact+hi+e.p.Noise)
 }
 
-// descendShared is the cell-amortized coarse first pass for huge slots: one
-// pyramid walk per non-empty sender cell instead of one per link. The
-// far/near classification uses the cell's receiver bounding box, so a node
-// accepted as far is far — and its aggregated [mass/maxdist^α,
-// mass/mindist^α] interval certified — for every receiver in the cell
-// simultaneously; the per-link cost drops to the exact near-field sums.
-// Ancestors of the cell itself are always opened (never aggregated), so the
-// members' own senders are excluded positionally in the base-cell sums
-// exactly as in the per-link descent, and no mass subtraction is needed.
+// descendShared is the tier-1 coarse pass: one pyramid walk for the whole
+// slot instead of one per link. The walk classifies nodes against each
+// non-empty sender cell's receiver bounding box, so a node accepted as far
+// is far — and its aggregated [mass/maxdist^α, mass/mindist^α] interval
+// certified — for every receiver in the cell simultaneously. Ancestors of
+// the cell itself are always opened (never aggregated), so the members' own
+// senders are excluded positionally in the home-cell sum and no mass
+// subtraction is needed.
 //
-// The shared bounds are wider than per-receiver ones by the receiver
-// spread, which only inflates the candidate set tier 2 then refines with
-// the precise per-link descent — certification, and with it the bit-exact
-// final margin, is unaffected. Writes sc.lb, sc.ub and sc.near for every
-// member.
+// The walk leaves each cell a list of near base cells, judged against the
+// whole receiver box. Each member then re-tests every non-home near cell
+// against its own receiver point with descend's predicate at the same θ:
+// a cell that is far for this receiver adds its certified mass interval,
+// and only truly near cells — plus the home cell — are summed exactly.
+// Without the re-test the receiver-box classification sums ~4.5× the
+// near-field pairs of a per-link walk; with it the pass sums about as many.
+// Writes sc.lb, sc.ub and sc.near for every member.
 func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, st *EngineStats) {
 	d0 := g.d0
 	nc := d0 * d0
@@ -1366,11 +1036,7 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 	// all of its cells in one flat run, so the node load and classification
 	// setup amortize across cells instead of restarting a stack walk per
 	// cell. Far acceptances accumulate into the per-cell interval; cells
-	// that survive to level 0 become (cell, base-cell) near pairs. The
-	// classification predicate per (node, cell) pair is exactly the per-cell
-	// walk's, so near sets and certified intervals match it up to far-field
-	// accumulation order — absorbed by the candidate tier; final margins
-	// only ever come from the order-pinned exact kernels.
+	// that survive to level 0 become (cell, base-cell) near pairs.
 	top := len(g.levelOff) - 1
 	nodes, levelOff := g.nodes, g.levelOff
 	curG := append(sc.fgCur[:0], frontierGroup{0, 0, 0, int32(len(curL))})
@@ -1404,15 +1070,9 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 					if maxd2 <= theta2*mind2 {
 						if mass > 0 {
 							farNodes++
-							a := e.powD2(maxd2)
-							b := e.powD2(mind2)
-							if inv := 1 / (a * b); inv > 0 && !math.IsInf(inv, 1) {
-								cellLo[c] += mass * b * inv
-								cellHi[c] += mass * a * inv
-							} else {
-								cellLo[c] += mass / a
-								cellHi[c] += mass / b
-							}
+							fl, fh := farBound(mass, e.powD2(maxd2), e.powD2(mind2))
+							cellLo[c] += fl
+							cellHi[c] += fh
 						}
 						continue
 					}
@@ -1440,7 +1100,6 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 	sc.fgCur, sc.fgNext = curG[:0], nextG[:0]
 	sc.flCur, sc.flNext = curL[:0], nextL[:0]
 	sc.npCell, sc.npBase = pc, pb
-	st.FarNodes += farNodes
 
 	// Counting-sort the near pairs by home cell so each cell's base cells
 	// form one contiguous run, in the deterministic wave emission order.
@@ -1448,9 +1107,7 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 		sc.nearStart = make([]int32, nc+1)
 	}
 	nearStart := sc.nearStart[:nc+1]
-	for i := range nearStart {
-		nearStart[i] = 0
-	}
+	clear(nearStart)
 	for _, c := range pc {
 		nearStart[c+1]++
 	}
@@ -1461,58 +1118,47 @@ func (e *Engine) descendShared(sc *EngineScratch, g *SlotGrid, theta2 float64, s
 		sc.nearOrd = make([]int32, len(pb))
 	}
 	nearOrd := sc.nearOrd[:len(pb)]
-	fill := append(sc.nearCells[:0], nearStart[:nc]...)
+	fill := append(sc.fill[:0], nearStart[:nc]...)
 	for i, c := range pc {
 		nearOrd[fill[c]] = pb[i]
 		fill[c]++
 	}
-	sc.nearCells = fill[:0]
+	sc.fill = fill
 
+	// Per-member near field: re-classify each non-home near cell against
+	// the member's own receiver; sum the home cell and the cells still near.
 	for c := 0; c < nc; c++ {
 		t0, t1 := g.starts[c], g.starts[c+1]
 		if t0 == t1 {
 			continue
 		}
-		lo, hi := cellLo[c], cellHi[c]
-		// Flatten the near cells' sender copies into one contiguous run;
-		// every member of the home cell then scans a single SoA stretch
-		// (split around its own sender) instead of a dozen short cell
-		// segments. The copy is paid once per cell and amortized over its
-		// members.
-		fpx, fpy, fpw := sc.fpx[:0], sc.fpy[:0], sc.fpw[:0]
-		homeOff := 0
-		for _, bc := range nearOrd[nearStart[c]:nearStart[c+1]] {
-			b0, b1 := g.starts[bc], g.starts[bc+1]
-			if int(bc) == c {
-				homeOff = len(fpx)
-			}
-			fpx = append(fpx, g.cpx[b0:b1]...)
-			fpy = append(fpy, g.cpy[b0:b1]...)
-			fpw = append(fpw, g.cpw[b0:b1]...)
-		}
-		sc.fpx, sc.fpy, sc.fpw = fpx, fpy, fpw
-		basePairs := int64(len(fpx))
+		near := nearOrd[nearStart[c]:nearStart[c+1]]
 		for t := t0; t < t1; t++ {
 			k := int(g.members[t])
 			qxk, qyk := sc.qx[k], sc.qy[k]
-			sp := homeOff + int(g.posOf[k]-t0)
-			exact := e.rowSumFast(0, fpx[:sp], fpy[:sp], fpw[:sp], qxk, qyk)
-			exact = e.rowSumFast(exact, fpx[sp+1:], fpy[sp+1:], fpw[sp+1:], qxk, qyk)
-			sc.near[k] = int32(basePairs - 1)
-
-			iLo := exact + lo + e.p.Noise
-			iHi := exact + hi + e.p.Noise
-			sig := sc.sig[k]
-			if iHi == 0 {
-				sc.lb[k], sc.ub[k] = math.Inf(1), math.Inf(1)
-				continue
+			lo, hi := cellLo[c], cellHi[c]
+			exact := e.rowSum(0, g.cpx[t0:t], g.cpy[t0:t], g.cpw[t0:t], qxk, qyk)
+			exact = e.rowSum(exact, g.cpx[t+1:t1], g.cpy[t+1:t1], g.cpw[t+1:t1], qxk, qyk)
+			pairs := int64(t1 - t0 - 1)
+			for _, bc := range near {
+				if int(bc) == c {
+					continue
+				}
+				n := &nodes[bc]
+				if mind2, maxd2 := n.dist2(qxk, qyk); mind2 > 0 && maxd2 <= theta2*mind2 {
+					farNodes++
+					fl, fh := farBound(n.mass, e.powD2(maxd2), e.powD2(mind2))
+					lo += fl
+					hi += fh
+					continue
+				}
+				b0, b1 := g.starts[bc], g.starts[bc+1]
+				exact = e.rowSum(exact, g.cpx[b0:b1], g.cpy[b0:b1], g.cpw[b0:b1], qxk, qyk)
+				pairs += int64(b1 - b0)
 			}
-			sc.lb[k] = sig / (e.p.Beta * iHi) * (1 - intervalPad)
-			if iLo == 0 {
-				sc.ub[k] = math.Inf(1)
-			} else {
-				sc.ub[k] = sig / (e.p.Beta * iLo) * (1 + intervalPad)
-			}
+			sc.near[k] = int32(pairs)
+			e.setInterval(sc, k, exact+lo+e.p.Noise, exact+hi+e.p.Noise)
 		}
 	}
+	st.FarNodes += farNodes
 }

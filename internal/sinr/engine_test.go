@@ -125,16 +125,15 @@ func TestEngineMatchesMarginGridPath(t *testing.T) {
 	}
 }
 
-// TestEngineSharedFrontierParity forces the frontier-shared first pass
-// (m ≥ engineSharedPassMin) and checks, on uniform and clustered layouts,
-// that (a) the margin matches the naive oracle and (b) it is bit-identical
-// to the per-link descent tier — the certified-interval argument says the
-// shared pass may only change candidate-set composition, never the margin.
+// TestEngineSharedFrontierParity runs a huge slot (above the 2¹³-sender
+// grid-occupancy step) through the frontier-shared first pass and checks,
+// on uniform and clustered layouts, that the margin matches the naive
+// oracle.
 func TestEngineSharedFrontierParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quadratic oracle on a large slot")
 	}
-	m := engineSharedPassMin + 123
+	m := 1<<13 + 123
 	p := Params{Alpha: 3, Beta: 1, Noise: 0, Epsilon: 0.5}
 	layouts := map[string][]geom.Link{
 		"uniform": randLinks(m, 20000, 31),
@@ -145,19 +144,9 @@ func TestEngineSharedFrontierParity(t *testing.T) {
 		idx := fullSlot(m)
 		eng := NewEngine(p, links)
 		var st EngineStats
-		shared, err := eng.MarginSlot(idx, powers, NewEngineScratch(), &st)
+		got, err := eng.MarginSlot(idx, powers, NewEngineScratch(), &st)
 		if err != nil {
-			t.Fatalf("%s: shared MarginSlot: %v", name, err)
-		}
-		engPL := NewEngine(p, links)
-		engPL.forcePerLink = true
-		var stPL EngineStats
-		perLink, err := engPL.MarginSlot(idx, powers, NewEngineScratch(), &stPL)
-		if err != nil {
-			t.Fatalf("%s: per-link MarginSlot: %v", name, err)
-		}
-		if shared != perLink {
-			t.Fatalf("%s: shared margin %.17g != per-link margin %.17g", name, shared, perLink)
+			t.Fatalf("%s: MarginSlot: %v", name, err)
 		}
 		slotLinks := make([]geom.Link, m)
 		for k, i := range idx {
@@ -167,8 +156,8 @@ func TestEngineSharedFrontierParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Margin: %v", name, err)
 		}
-		if rel := math.Abs(shared-want) / math.Max(math.Abs(want), 1e-300); rel > 1e-9 {
-			t.Fatalf("%s: margin %.17g vs naive %.17g (rel %.3g)", name, shared, want, rel)
+		if rel := math.Abs(got-want) / math.Max(math.Abs(want), 1e-300); rel > 1e-9 {
+			t.Fatalf("%s: margin %.17g vs naive %.17g (rel %.3g)", name, got, want, rel)
 		}
 	}
 }
@@ -342,30 +331,6 @@ func TestEngineStatsFracInvariant(t *testing.T) {
 
 // BenchmarkMargin compares the naive O(m²) Margin with the engine on one
 // large slot — the per-slot speedup layer 1+2 buy before slot parallelism.
-// BenchmarkDescendShared compares the tier-1 coarse pass on a huge slot:
-// per-link pyramid descents ("cold") against the frontier-shared wave.
-func BenchmarkDescendShared(b *testing.B) {
-	m := 1 << 14
-	links := randLinks(m, 50000, 41)
-	powers := randPowers(m, 42)
-	idx := fullSlot(m)
-	p := Params{Alpha: 3, Beta: 1, Noise: 0, Epsilon: 0.5}
-	for _, mode := range []string{"cold", "frontier"} {
-		b.Run(mode, func(b *testing.B) {
-			eng := NewEngine(p, links)
-			eng.forcePerLink = mode == "cold"
-			sc := NewEngineScratch()
-			var st EngineStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.MarginSlot(idx, powers, sc, &st); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkMargin(b *testing.B) {
 	links := randLinks(4000, 20000, 61)
 	powers := randPowers(4000, 62)
@@ -393,4 +358,72 @@ func BenchmarkMargin(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestEngineNearFieldBound bounds the tier-1 pairwise work without hardware
+// timing: on a uniform slot the shared pass must re-classify each near cell
+// against the member's own receiver, leaving ExactPairsFrac ≈ 0.02. Summing
+// every cell the shared walk leaves near (judged against the whole
+// receiver box) would read ≈ 0.09.
+func TestEngineNearFieldBound(t *testing.T) {
+	const m = 1200
+	eng := NewEngine(DefaultParams(), randLinks(m, 5000, 71))
+	var st EngineStats
+	if _, err := eng.MarginSlot(fullSlot(m), randPowers(m, 72), NewEngineScratch(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if f := st.ExactPairsFrac(); f > 0.05 {
+		t.Fatalf("ExactPairsFrac %.4f > 0.05 (stats %+v)", f, st)
+	}
+}
+
+// TestEngineMarginBits pins the engine's margins bit for bit for every
+// exponent class of powD2 — the closed forms for α ∈ {2, 3, 4} and the
+// math.Pow fallback (α=2.1) — on an exact-path slot (m=40) and on
+// grid-path slots, uniform and clustered. The expected bits were recorded
+// from the per-α kernels the single rowSum replaced; any change to a term
+// expression or to the summation order of the exact rows shows up here.
+func TestEngineMarginBits(t *testing.T) {
+	cases := []struct {
+		alpha   float64
+		m       int
+		cluster bool
+		bits    uint64
+	}{
+		{2, 40, false, 0x3fb9c6ee38e1462f},
+		{2, 200, false, 0x3f960a387d22aad2},
+		{2, 200, true, 0x3f73a215cc58a432},
+		{2, 1000, false, 0x3f567b6c2688550f},
+		{2, 1000, true, 0x3f2fb54a49aed984},
+		{2.1, 40, false, 0x3fbaf4bdcc9a9a6b},
+		{2.1, 200, false, 0x3f97c8dbd4b6b80c},
+		{2.1, 200, true, 0x3f7229d821d7fb93},
+		{2.1, 1000, false, 0x3f4f5132a1488bdc},
+		{2.1, 1000, true, 0x3f2790c54c419e32},
+		{3, 40, false, 0x3fbe7f68a1eff502},
+		{3, 200, false, 0x3f803a308d478427},
+		{3, 200, true, 0x3f5e8848fbbc9314},
+		{3, 1000, false, 0x3f01f509c3c43cc1},
+		{3, 1000, true, 0x3edd16dc940f7b8d},
+		{4, 40, false, 0x3fae4eb1b52b3bd7},
+		{4, 200, false, 0x3f53efe804bd29be},
+		{4, 200, true, 0x3f4433087d109680},
+		{4, 1000, false, 0x3eabf2782669bf65},
+		{4, 1000, true, 0x3e863d225db48b60},
+	}
+	for _, c := range cases {
+		links := randLinks(c.m, 5000, int64(c.m)+7)
+		if c.cluster {
+			links = clusterLinks(c.m, int64(c.m)+8)
+		}
+		p := Params{Alpha: c.alpha, Beta: 1, Noise: 0, Epsilon: 0.5}
+		var st EngineStats
+		got, err := NewEngine(p, links).MarginSlot(fullSlot(c.m), randPowers(c.m, int64(c.m)+9), NewEngineScratch(), &st)
+		if err != nil {
+			t.Fatalf("α=%g m=%d cluster=%v: %v", c.alpha, c.m, c.cluster, err)
+		}
+		if want := math.Float64frombits(c.bits); got != want {
+			t.Errorf("α=%g m=%d cluster=%v: margin %.17g, want %.17g", c.alpha, c.m, c.cluster, got, want)
+		}
+	}
 }

@@ -33,13 +33,13 @@ func kernelBenchLinks(m int) []geom.Link {
 	return links
 }
 
-// MeasureKernelNsPerPair times the symmetric tiled near-field kernel — the
-// unordered-pair enumeration behind exactAll, the engine's hottest inner
-// loop — on a synthetic m-sender slot, and returns nanoseconds per ordered
-// pairwise term (the m·(m−1) terms a naive evaluation would compute). The
-// bench command records it as kernel_ns_per_pair so the regression gate can
-// catch a de-optimized kernel (a lost unroll, a reintroduced math.Pow)
-// independently of slot-structure and pipeline effects.
+// MeasureKernelNsPerPair times the engine's one pairwise kernel — exactAll,
+// one rowSum row per link, the same loop the near-field cell sums run — on
+// a synthetic m-sender slot, and returns nanoseconds per ordered pairwise
+// term (the m·(m−1) terms a naive evaluation would compute). The bench
+// command records it as kernel_ns_per_pair so the regression gate can
+// catch a de-optimized kernel (a lost inline of powD2, a reintroduced
+// math.Pow) independently of slot-structure and pipeline effects.
 func MeasureKernelNsPerPair(p Params, m, rounds int) float64 {
 	if m < 2 || rounds < 1 {
 		return 0

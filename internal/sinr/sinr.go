@@ -12,7 +12,6 @@
 //
 // The package provides
 //   - per-set feasibility checks for a concrete power assignment,
-//   - the relative-interference (affectance) form I_P(j,i) of the constraint,
 //   - the paper's additive operator I(j,i) = min{1, l_j^α/d(i,j)^α} used by
 //     Lemma 1 and Theorem 2, and
 //   - exact feasibility under *arbitrary* power control via the spectral
@@ -127,30 +126,6 @@ func (p Params) Margin(links []geom.Link, power []float64) (float64, error) {
 	return worst, nil
 }
 
-// RelInterference returns the relative interference (affectance)
-// I_P(j,i) = P(j)·l_i^α / (P(i)·d_ji^α) of link j on link i, the normalized
-// form used in Sec. 4. With zero noise, a set is P-feasible iff
-// Σ_j I_P(j,i) ≤ 1/β for every i.
-func (p Params) RelInterference(j, i geom.Link, powerJ, powerI float64) float64 {
-	if j == i {
-		return 0
-	}
-	d := geom.SenderToReceiver(j, i)
-	return powerJ * math.Pow(i.Length(), p.Alpha) / (powerI * math.Pow(d, p.Alpha))
-}
-
-// RelInterferenceSum returns Σ_{j∈S, j≠i} I_P(j, links[i]).
-func (p Params) RelInterferenceSum(links []geom.Link, power []float64, i int) float64 {
-	s := 0.0
-	for j := range links {
-		if j == i {
-			continue
-		}
-		s += p.RelInterference(links[j], links[i], power[j], power[i])
-	}
-	return s
-}
-
 // AddOp returns the paper's additive operator
 // I(j,i) = min{1, l_j^α / d(i,j)^α}, where d(i,j) is the minimum endpoint
 // distance between the links. Coinciding links (d = 0) give 1.
@@ -164,45 +139,6 @@ func (p Params) AddOp(j, i geom.Link) float64 {
 		return 1
 	}
 	return v
-}
-
-// AddOpOut returns I(i, S) = Σ_{j∈S} I(i,j): the additive influence of link
-// i on the set S (itself excluded by identity of the link values).
-func (p Params) AddOpOut(i geom.Link, set []geom.Link) float64 {
-	s := 0.0
-	for _, j := range set {
-		if j == i {
-			continue
-		}
-		s += p.AddOp(i, j)
-	}
-	return s
-}
-
-// AddOpIn returns I(S, i) = Σ_{j∈S} I(j,i).
-func (p Params) AddOpIn(set []geom.Link, i geom.Link) float64 {
-	s := 0.0
-	for _, j := range set {
-		if j == i {
-			continue
-		}
-		s += p.AddOp(j, i)
-	}
-	return s
-}
-
-// AddOpOutLonger returns I(i, S⁺_i) where S⁺_i is the subset of S with
-// length ≥ l_i, the quantity bounded by Lemma 1 for MST links.
-func (p Params) AddOpOutLonger(i geom.Link, set []geom.Link) float64 {
-	li := i.Length()
-	s := 0.0
-	for _, j := range set {
-		if j == i || j.Length() < li {
-			continue
-		}
-		s += p.AddOp(i, j)
-	}
-	return s
 }
 
 // GainMatrix returns the normalized gain matrix B of the set, where

@@ -5,7 +5,7 @@
 # size (the largest measured n present in the baseline, n=20000 as checked
 # in), the measured greedy pipeline_sec, build_sec, mst_sec, or verify_sec
 # exceeds MAX_RATIO (default 1.5) times the checked-in baseline; when the run-level
-# kernel_ns_per_pair (the symmetric near-field kernel micro-measurement)
+# kernel_ns_per_pair (the pairwise-kernel micro-measurement)
 # exceeds MAX_RATIO times the baseline's — and, independently of the
 # baseline, when the fast verify engine's exact_pairs_frac exceeds 0.05 at
 # the probe size, when the probe instance escalated γ without the retry
@@ -112,10 +112,10 @@ if retries >= 1 and not reused:
         "lookahead regression: the escalating probe instance rebuilt its "
         "conflict graph from scratch instead of filtering the lookahead build")
 
-# Kernel gate: a run-level micro-measurement of the symmetric near-field
-# kernel, free of slot-structure and cache effects — a lost unroll or a
-# reintroduced per-pair math.Pow shows up here even when structure reuse
-# hides it from verify_sec.
+# Kernel gate: a run-level micro-measurement of the engine's one pairwise
+# kernel, free of slot-structure and cache effects — a lost inline of the
+# α=3 closed form or a reintroduced per-pair math.Pow shows up here even
+# when structure reuse hides it from verify_sec.
 if base_kernel > 0 and meas_kernel > 0:
     ratio = meas_kernel / base_kernel
     print(f"kernel_ns_per_pair {meas_kernel:.3f} vs baseline {base_kernel:.3f} -> {ratio:.2f}x (limit {max_ratio}x)")
