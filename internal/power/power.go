@@ -117,33 +117,37 @@ func Solve(links []geom.Link, p sinr.Params, opts SolveOptions) ([]float64, erro
 	if n == 0 {
 		return []float64{}, nil
 	}
-	b := p.GainMatrix(links)
-	if rho := sinr.SpectralRadius(b, 100); rho >= 1 {
-		return nil, fmt.Errorf("%w (spectral radius %.6g)", ErrInfeasible, rho)
-	}
 	// Base vector: noise floor with headroom, or a well-scaled positive
 	// vector in the noise-free model.
 	v := make([]float64, n)
 	for i, l := range links {
-		la := math.Pow(l.Length(), p.Alpha)
+		le := l.Length()
+		if le <= 0 {
+			return nil, fmt.Errorf("power: link %d has non-positive length", i)
+		}
+		la := math.Pow(le, p.Alpha)
 		v[i] = la
 		if nf := (1 + p.Epsilon) * p.Beta * p.Noise * la; nf > v[i] {
 			v[i] = nf
 		}
 	}
+	b := p.GainMatrix(links)
+	if rho := sinr.SpectralRadius(b, 100); rho >= 1 {
+		return nil, fmt.Errorf("%w (spectral radius %.6g)", ErrInfeasible, rho)
+	}
 	cur := append([]float64(nil), v...)
 	next := make([]float64, n)
 	for it := 0; it < opts.MaxIters; it++ {
+		sinr.MatVec(next, v, b, cur)
 		var maxRel float64
-		for i := 0; i < n; i++ {
-			s := v[i]
-			row := b[i]
-			for j := 0; j < n; j++ {
-				s += row[j] * cur[j]
+		for i, s := range next {
+			// A zero, infinite or NaN iterate means l^α or the gain
+			// matrix left the float range; NaN would never beat maxRel
+			// and so would pass as converged.
+			if !(s > 0 && s <= math.MaxFloat64) {
+				return nil, fmt.Errorf("power: Jacobi iterate %g on link %d is not a positive finite power", s, i)
 			}
-			next[i] = s
-			rel := math.Abs(s-cur[i]) / s
-			if rel > maxRel {
+			if rel := math.Abs(s-cur[i]) / s; rel > maxRel {
 				maxRel = rel
 			}
 		}

@@ -2,6 +2,7 @@ package sinr
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"aggrate/internal/geom"
@@ -125,5 +126,52 @@ func TestSpectralRadiusKnown(t *testing.T) {
 	}
 	if r := SpectralRadius(nil, 10); r != 0 {
 		t.Fatalf("SpectralRadius(nil) = %g, want 0", r)
+	}
+	// A NaN entry (the gain matrix left the float range) must not read as
+	// radius 0, which would pass any feasibility test.
+	if r := SpectralRadius([][]float64{{0, math.NaN()}, {1, 0}}, 10); !math.IsNaN(r) {
+		t.Fatalf("SpectralRadius with a NaN row = %g, want NaN", r)
+	}
+}
+
+// TestPowDistMatchesPow checks the α=3 closed form d·(d·d) against
+// math.Pow bit for bit: log-uniform d over [1e-100, 1e100], uniform d over
+// [0, 2e6] (the deployments' distance range), and the boundaries where the
+// closed form hands back to math.Pow — subnormal results, overflow, 0 and
+// +Inf — stepping a few ulps either side of each cut.
+func TestPowDistMatchesPow(t *testing.T) {
+	p := Params{Alpha: 3}
+	check := func(d float64) {
+		t.Helper()
+		if got, want := p.powDist(d), math.Pow(d, 3); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("powDist(%v) = %v, want math.Pow = %v", d, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	for k := 0; k < 500_000; k++ {
+		check(math.Pow(10, -100+200*r.Float64()))
+		check(2e6 * r.Float64())
+	}
+	for _, d := range []float64{0, math.Inf(1), 1, 2, 1e-110, 1e-104, 1e103, 1e110, math.MaxFloat64, 5e-324} {
+		check(d)
+	}
+	// Cube roots of the smallest normal and the largest finite float.
+	for _, edge := range []float64{math.Cbrt(minNormal), math.Cbrt(math.MaxFloat64)} {
+		lo, hi := edge, edge
+		for k := 0; k < 1000; k++ {
+			check(lo)
+			check(hi)
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+		}
+	}
+	if !math.IsNaN(p.powDist(math.NaN())) {
+		t.Fatal("powDist(NaN) is not NaN")
+	}
+	// Other exponents go straight to math.Pow.
+	for _, a := range []float64{2.1, 4} {
+		q := Params{Alpha: a}
+		if got, want := q.powDist(7.5), math.Pow(7.5, a); got != want {
+			t.Fatalf("alpha %g: powDist = %v, want %v", a, got, want)
+		}
 	}
 }
