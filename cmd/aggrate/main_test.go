@@ -38,14 +38,16 @@ var timingKeys = map[string]bool{
 	"power_solve_sec": true, "verify_naive_sec": true, "verify_speedup": true,
 	"total_sec": true, "mean_total_sec": true, "pipeline_sec": true,
 	"naive_sec": true, "speedup": true, "gomaxprocs": true,
-	// Not a timing, but scheduling-dependent all the same: which spec of a
-	// same-deployment group pays the build (and which reuse it) depends on
-	// worker interleaving, so the flag is scrubbed like a wall-clock field.
-	"deploy_reused": true,
 }
 
-// normalizeJSON parses arbitrary JSON and zeroes every timing-dependent
-// field, then re-encodes with stable indentation.
+// droppedKeys are deleted outright before golden comparison. deploy_reused
+// is not a timing, but which spec of a same-deployment group pays the build
+// (and which reuse it) depends on worker interleaving; the field is
+// omitempty, so whether the key appears at all is scheduling-dependent too.
+var droppedKeys = map[string]bool{"deploy_reused": true}
+
+// normalizeJSON parses arbitrary JSON, zeroes every timing-dependent field
+// and deletes the dropped keys, then re-encodes with stable indentation.
 func normalizeJSON(t *testing.T, data string) string {
 	t.Helper()
 	var v any
@@ -64,7 +66,9 @@ func scrub(v any) any {
 	switch x := v.(type) {
 	case map[string]any:
 		for k, val := range x {
-			if timingKeys[k] {
+			if droppedKeys[k] {
+				delete(x, k)
+			} else if timingKeys[k] {
 				x[k] = 0
 			} else {
 				x[k] = scrub(val)

@@ -254,6 +254,21 @@ func TestAggregateSplitsByAlgo(t *testing.T) {
 	}
 }
 
+// TestNonFiniteScenarioIsAnError: a generator that emits a NaN coordinate
+// must fail its instance with an experiment: mst: error naming the point,
+// not crash the worker. n=1000 is above the EMST's Prim cutoff.
+func TestNonFiniteScenarioIsAnError(t *testing.T) {
+	sc := NamedScenario{Name: "nan", Gen: func(n int, seed uint64) []geom.Point {
+		pts := scenario.Presets()["uniform"].Generate(n, seed)
+		pts[417].Y = math.NaN()
+		return pts
+	}}
+	res := Run(context.Background(), NewSpec(sc, 1000, 1))
+	if !strings.HasPrefix(res.Err, "experiment: mst: ") || !strings.Contains(res.Err, "point 417") {
+		t.Fatalf("Err = %q, want an experiment: mst: error naming point 417", res.Err)
+	}
+}
+
 // TestOverflowDiversityStaysFinite: when the length ratio overflows float64,
 // the log-space diversity pipeline must still deliver a finite log* instead
 // of the LogStarUndefined sentinel, and Aggregate must not let any sentinel

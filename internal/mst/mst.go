@@ -5,23 +5,37 @@
 // The paper's protocol (Sec. 3) uses the MST with edges directed arbitrarily;
 // for the convergecast semantics of the simulator, edges point from child to
 // parent along the unique sink-rooted orientation. Three constructions are
-// provided: EMST, a grid-accelerated Borůvka that is near-linear on the
-// experiment scenarios and the production path of NewMSTTree; Prim in O(n²)
-// time and O(n) memory, the oracle EMST is cross-checked against; and
-// Kruskal over all pairs as an independent second oracle. EMST resolves
-// equal-weight candidates with Kruskal's edge order (weight, then the sorted
-// endpoint pair), which makes it exact even on tie-heavy inputs; on
-// pointsets with distinct pairwise distances (all jittered generators) the
-// MST is unique and all three constructions agree edge-for-edge. For
-// collinear pointsets LineMST exploits the 1-D structure (connect neighbors
-// in sorted order).
+// provided: EMST, a k-d tree Borůvka that is near-linear whatever the
+// density profile and the production path of NewMSTTree; Prim in O(n²) time
+// and O(n) memory, the oracle EMST is cross-checked against and its path for
+// small or zero-extent inputs; and Kruskal over all pairs as an independent
+// second oracle. For collinear pointsets LineMST exploits the 1-D structure
+// (connect neighbors in sorted order).
+//
+// EMST's tree is built once: median splits across the wider axis of each
+// node's bounding box, by in-place selection, down to leaves of at most 16
+// points, over a slot permutation that keeps every subtree's points
+// contiguous. Coordinates, component roots and the per-point state are
+// stored by slot. Each Borůvka round tags every node, in one bottom-up
+// pass, with the component root common to all its points (or -1), then
+// queries each point for its nearest point in another component: scan the
+// own leaf, then walk up the ancestors, searching each sibling subtree
+// nearer child first, skipping subtrees tagged with the point's own
+// component or whose box lies beyond the component's best candidate so
+// far, and stop once the point's distance to the current node's split
+// region boundary exceeds that bound, since every point outside the node
+// is at least that far. Candidates are ordered by Kruskal's edge order
+// (squared distance, then the sorted endpoint pair of point indices), and
+// every pruning test is strict, so equal-weight candidates are always
+// compared and the result is exact even on tie-heavy inputs; on pointsets
+// with distinct pairwise distances (all jittered generators) the MST is
+// unique and all three constructions agree edge-for-edge.
 package mst
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"aggrate/internal/geom"
@@ -123,42 +137,51 @@ func Kruskal(pts []geom.Point) []Edge {
 }
 
 // emstCutoff is the pointset size below which the dense Prim is faster than
-// building the grid.
+// building the k-d tree.
 const emstCutoff = 256
 
-// EMST computes the Euclidean MST with Borůvka's algorithm over a uniform
-// hash grid: each round finds, for every component, its minimum outgoing
-// edge by ring-searching the grid outward from each point until the ring's
-// lower distance bound exceeds the component's best candidate so far, then
+// emstLeaf is the k-d tree's leaf capacity: median splits stop once a node
+// holds at most this many points, and a leaf is scanned point by point.
+const emstLeaf = 16
+
+// EMST computes the Euclidean MST with Borůvka's algorithm over a k-d tree
+// (single-tree Borůvka; March, Ram & Gray, KDD 2010): each round finds, for
+// every component, its minimum outgoing edge by a nearest-foreign-neighbor
+// query per point, bounded by the component's best candidate so far, then
 // merges components along the selected edges. Components halve per round,
-// so there are O(log n) rounds, and the shared per-component bound prunes
-// almost every interior point's search after the first boundary point has
-// found a close foreign neighbor — near-linear work on the experiment
-// scenarios.
+// so there are O(log n) rounds; the shared per-component bound and the
+// per-round subtree tags prune almost every interior point's query, and the
+// median splits follow the density, so the work stays near-linear however
+// unevenly the points are spread.
 //
 // Exactness: Borůvka is exact whenever each component selects a true
 // minimum outgoing edge under a total order on edges; candidates are
 // compared by (squared distance, sorted endpoint pair), Kruskal's order, so
-// ties cannot produce a non-minimum tree. Degenerate inputs (zero extent,
-// non-finite coordinates) fall back to Prim.
+// ties cannot produce a non-minimum tree. Zero-extent inputs fall back to
+// Prim. A non-finite coordinate has no place in a distance order, nor does
+// an extent whose squared distances overflow: EMST panics on either, with
+// the message EMSTCtx returns as an error.
 func EMST(pts []geom.Point) []Edge {
-	edges, _ := EMSTCtx(context.Background(), pts) // Background never cancels
+	edges, err := EMSTCtx(context.Background(), pts) // Background never cancels
+	if err != nil {
+		panic(err)
+	}
 	return edges
 }
 
-// emstStats counts the work-skipping behavior of one EMSTCtx run, for
-// benchmarks and regression visibility (BenchmarkEMSTLarge reports them as
-// custom metrics).
+// emstStats counts the work of one EMSTCtx run, for tests, benchmarks and
+// regression visibility (the benchmarks report them as custom metrics).
 type emstStats struct {
 	// Rounds is the number of Borůvka rounds.
 	Rounds int
-	// Supercells counts coarse cells certified single-component-with-
-	// single-component-neighborhood, summed over rounds.
-	Supercells int
-	// SkippedPoints counts points whose entire ring search was skipped by
-	// the supercell test, summed over rounds.
-	SkippedPoints int
-	// CachedPoints counts points whose ring search was replaced by a cached
+	// PairTests counts point-pair distance evaluations, summed over rounds:
+	// the hardware-independent measure of query work.
+	PairTests int
+	// SkippedNodes counts k-d nodes (own leaves and searched subtrees) that
+	// a query skipped whole because their per-round tag showed every point
+	// under them in the querying point's own component, summed over rounds.
+	SkippedNodes int
+	// CachedPoints counts points whose query was replaced by a cached
 	// best-edge candidate from an earlier round, summed over rounds.
 	CachedPoints int
 }
@@ -166,82 +189,64 @@ type emstStats struct {
 // EMSTCtx is EMST with cancellation, checked once per Borůvka round
 // (components halve per round, so the first round — the bulk of the work —
 // is the longest uncancellable window). On cancellation it returns
-// (nil, ctx.Err()); a partial edge set is never returned.
+// (nil, ctx.Err()); a partial edge set is never returned. A NaN or infinite
+// coordinate is an error naming the first such point, and so is an extent
+// too wide for its squared distances to stay finite.
 func EMSTCtx(ctx context.Context, pts []geom.Point) ([]Edge, error) {
 	return emstCtx(ctx, pts, nil)
 }
 
 func emstCtx(ctx context.Context, pts []geom.Point, st *emstStats) ([]Edge, error) {
-	n := len(pts)
-	if n < emstCutoff {
-		return Prim(pts), nil
+	// Checked once, before any comparison-based code sees the keys: a NaN
+	// compares false both ways, which would starve Prim of a next vertex
+	// and stall a partition loop.
+	for i, p := range pts {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return nil, fmt.Errorf("mst: point %d has a non-finite coordinate (%g, %g)", i, p.X, p.Y)
+		}
 	}
 	lo, hi := geom.BoundingBox(pts)
 	ext := math.Max(hi.X-lo.X, hi.Y-lo.Y)
-	if !(ext > 0) || math.IsInf(ext, 1) {
+	if math.IsInf(2*ext*ext, 1) {
+		return nil, fmt.Errorf("mst: coordinate extent %g overflows squared distances", ext)
+	}
+	n := len(pts)
+	if n < emstCutoff || !(ext > 0) {
 		return Prim(pts), nil
 	}
-	// Base grid at ~1 point per cell.
-	d0 := 1
-	for d0*d0 < n && d0 < 4096 {
-		d0 <<= 1
-	}
-	cs := ext / float64(d0)
-	cellIdx := func(p geom.Point) (int, int) {
-		cx := int((p.X - lo.X) / cs)
-		cy := int((p.Y - lo.Y) / cs)
-		if cx < 0 {
-			cx = 0
-		} else if cx >= d0 {
-			cx = d0 - 1
-		}
-		if cy < 0 {
-			cy = 0
-		} else if cy >= d0 {
-			cy = d0 - 1
-		}
-		return cx, cy
-	}
-	// CSR layout: points grouped by cell.
-	starts := make([]int32, d0*d0+1)
-	cellOf := make([]int32, n)
-	for i, p := range pts {
-		cx, cy := cellIdx(p)
-		cellOf[i] = int32(cy*d0 + cx)
-		starts[cellOf[i]+1]++
-	}
-	for c := 0; c < d0*d0; c++ {
-		starts[c+1] += starts[c]
-	}
-	fill := append([]int32(nil), starts[:d0*d0]...)
+	// Borůvka runs in slot space: the tree build permutes the slots so every
+	// node's points are contiguous, and the coordinates, component roots,
+	// union-find, per-component bests and champion cache are all indexed by
+	// slot. Components are spatially compact, so their roots, and every array
+	// indexed by them, stay local to the leaf being scanned. members maps a
+	// slot back to its point index, for Kruskal's tie order and the output.
 	members := make([]int32, n)
-	for i := 0; i < n; i++ {
-		members[fill[cellOf[i]]] = int32(i)
-		fill[cellOf[i]]++
-	}
-	// Cell-grouped copies of the coordinates and (per round) the component
-	// roots, indexed by CSR slot rather than point index. The ring search
-	// streams members[s:e] ranges, and reading through these keeps its
-	// hottest loads sequential instead of gather-loads through members.
 	xsM := make([]float64, n)
 	ysM := make([]float64, n)
-	for k, j := range members {
-		xsM[k] = pts[j].X
-		ysM[k] = pts[j].Y
+	for i, p := range pts {
+		members[i] = int32(i)
+		xsM[i], ysM[i] = p.X, p.Y
 	}
-	rootM := make([]int32, n)
+	q := &kdQuery{
+		tr:      newKDTree(xsM, ysM, members),
+		xs:      xsM,
+		ys:      ysM,
+		members: members,
+		rootM:   make([]int32, n),
+	}
+	q.nodeRoot = make([]int32, len(q.tr.nodes))
+	rootM := q.rootM
 
-	// Cross-round champion cache, indexed by CSR slot so the per-point scan
-	// loop streams it sequentially. candJ[k]/candD2[k] hold a pair (i, j) —
-	// i the point in slot k — that was the component's best candidate at the
-	// moment i's ring scan ended: such a pair precedes every pair i scanned
-	// (the shared best is a running minimum over them) and every pair i
-	// pruned (the ring bound discards only pairs strictly worse than the
-	// bound, which at that moment was this pair's own weight) — so it is i's
-	// exact Kruskal-order minimum outgoing pair. Merges only shrink the
-	// foreign set, so the pair stays i's minimum in every later round until
-	// j's component merges with i's; while it does, i offers the cached pair
-	// and skips its ring scan outright.
+	// Cross-round champion cache. candJ[k]/candD2[k] hold a pair (k, j)
+	// that was the component's best candidate at the moment k's query
+	// ended: such a pair precedes every pair k examined (the shared best is
+	// a running minimum over them) and every pair k pruned (the box and
+	// region bounds discard only pairs strictly worse than the bound, which
+	// at that moment was this pair's own weight) — so it is k's exact
+	// Kruskal-order minimum outgoing pair. Merges only shrink the foreign
+	// set, so the pair stays k's minimum in every later round until j's
+	// component merges with k's; while it does, k offers the cached pair and
+	// skips its query outright.
 	candJ := make([]int32, n)
 	candD2 := make([]float64, n)
 	for k := range candJ {
@@ -254,315 +259,58 @@ func emstCtx(ctx context.Context, pts []geom.Point, st *emstStats) ([]Edge, erro
 	bestU := make([]int32, n)
 	bestV := make([]int32, n)
 	roots := make([]int32, 0, n)
-	// rootOf memoizes dsu.Find for the duration of one round (roots only
-	// change at the merge step), turning the O(candidates) Find calls of the
-	// ring search into array loads.
-	rootOf := make([]int32, n)
-	// cellRoot[c] is the common component root of every point in cell c, or
-	// -1 if the cell is empty or spans components. In later rounds most cells
-	// interior to a component are uniform, and the ring search skips them
-	// without touching their members — the bulk of the late-round work.
-	cellRoot := make([]int32, d0*d0)
-	// Supercell skipping, one pyramid level up from the cell tags: coarse
-	// cells of side S = 2·cs (d0 is a power of two ≥ 16, so dc = d0/2 tiles
-	// the grid exactly). coarseRoot[cc] is the common root of the coarse
-	// cell's points (-2 empty, -1 mixed); blockRoot[cc] is that root when
-	// additionally every in-grid coarse neighbor is empty or has the same
-	// root — then every foreign point is outside the 3×3 coarse block, hence
-	// at distance ≥ S from any point of cc, and a point whose component
-	// already holds a candidate strictly below (S·(1-1e-9))² can skip its
-	// entire ring scan. The 1e-9 pad absorbs the ulp by which cellIdx's
-	// clamped division can misplace a point relative to its cell rectangle;
-	// the strict inequality keeps equal-weight ties inside the scan, the
-	// same device as the ring lower bound.
-	dc := d0 / 2
-	coarseRoot := make([]int32, dc*dc)
-	blockRoot := make([]int32, dc*dc)
-	skipCut := 2 * cs * (1 - 1e-9)
-	skipCut *= skipCut
 	var stats emstStats
-	// better reports whether candidate (d2, u, v) precedes the root's
-	// current best under Kruskal's order (weight, sorted endpoint pair).
-	better := func(r int, d2 float64, u, v int32) bool {
-		if d2 != bestD2[r] {
-			return d2 < bestD2[r]
-		}
-		au, av := minmax32(u, v)
-		bu, bv := minmax32(bestU[r], bestV[r])
-		if au != bu {
-			return au < bu
-		}
-		return av < bv
-	}
 	for len(edges) < n-1 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		// rootM memoizes dsu.Find for the duration of one round (roots only
+		// change at the merge step).
 		roots = roots[:0]
-		for i := 0; i < n; i++ {
-			r := dsu.Find(i)
-			rootOf[i] = int32(r)
-			if r == i {
-				bestD2[i] = math.Inf(1)
-				bestU[i], bestV[i] = -1, -1
-				roots = append(roots, int32(i))
+		for k := range rootM {
+			r := int32(dsu.Find(k))
+			rootM[k] = r
+			if r == int32(k) {
+				bestD2[k] = math.Inf(1)
+				bestU[k], bestV[k] = -1, -1
+				roots = append(roots, r)
 			}
 		}
-		for k, j := range members {
-			rootM[k] = rootOf[j]
-		}
-		for c := 0; c < d0*d0; c++ {
-			s, e := starts[c], starts[c+1]
-			if s == e {
-				cellRoot[c] = -1
-				continue
-			}
-			cr := rootM[s]
-			for _, rj := range rootM[s+1 : e] {
-				if rj != cr {
-					cr = -1
-					break
-				}
-			}
-			cellRoot[c] = cr
-		}
+		q.tr.tag(rootM, q.nodeRoot)
 		stats.Rounds++
-		// Coarse roots: fold each 2×2 block of fine cells (empty fine cells
-		// are wildcards; a mixed fine cell poisons the block).
-		for ccy := 0; ccy < dc; ccy++ {
-			for ccx := 0; ccx < dc; ccx++ {
-				cr := int32(-2)
-				for fy := 2 * ccy; fy < 2*ccy+2 && cr != -1; fy++ {
-					for fx := 2 * ccx; fx < 2*ccx+2; fx++ {
-						c := fy*d0 + fx
-						if starts[c] == starts[c+1] {
-							continue
-						}
-						fr := cellRoot[c]
-						if fr < 0 || (cr != -2 && fr != cr) {
-							cr = -1
-							break
-						}
-						cr = fr
+		// Minimum outgoing edge per component, one query per slot in order.
+		// Order cannot change the selected edges — every pruning rule
+		// discards only pairs strictly worse than the component's best at
+		// that moment, which bestD2's monotone decrease makes strictly worse
+		// than the final best, so each root still ends at the total-order
+		// minimum of its outgoing pairs. Only the stats counters are
+		// order-sensitive.
+		for _, leaf := range q.tr.leaves {
+			nd := &q.tr.nodes[leaf]
+			for k := nd.lo; k < nd.hi; k++ {
+				r := rootM[k]
+				// Cached champion pair: while candJ[k] is still foreign it
+				// remains k's exact minimum outgoing pair — offer it and skip
+				// the query. The cache is left in place; it stays valid until
+				// candJ[k]'s component merges in.
+				if j := candJ[k]; j >= 0 && rootM[j] != r {
+					if d2 := candD2[k]; d2 < bestD2[r] || (d2 == bestD2[r] && pairLess(members, k, j, bestU[r], bestV[r])) {
+						bestD2[r] = d2
+						bestU[r], bestV[r] = k, j
 					}
-				}
-				coarseRoot[ccy*dc+ccx] = cr
-			}
-		}
-		// Block roots: a coarse cell keeps its root only if all ≤8 in-grid
-		// coarse neighbors are empty or same-component (out-of-grid space
-		// holds no points and is vacuously fine).
-		for ccy := 0; ccy < dc; ccy++ {
-			for ccx := 0; ccx < dc; ccx++ {
-				cc := ccy*dc + ccx
-				cr := coarseRoot[cc]
-				if cr >= 0 {
-					for ny := ccy - 1; ny <= ccy+1 && cr >= 0; ny++ {
-						if ny < 0 || ny >= dc {
-							continue
-						}
-						for nx := ccx - 1; nx <= ccx+1; nx++ {
-							if nx < 0 || nx >= dc {
-								continue
-							}
-							if nr := coarseRoot[ny*dc+nx]; nr != -2 && nr != cr {
-								cr = -1
-								break
-							}
-						}
-					}
-				}
-				if cr >= 0 {
-					stats.Supercells++
-				}
-				blockRoot[cc] = cr
-			}
-		}
-		// Minimum outgoing edge per component, via bounded ring search. The
-		// scan walks cells (not points in index order) so the per-point
-		// loads stream through the slot-indexed rootM/xsM/ysM and adjacent
-		// scans share their ring rows of cellRoot/starts — but grid rows are
-		// visited in bit-reversed order, not top-to-bottom. The shared
-		// per-component bound is what makes interior points cheap, and it
-		// only collapses once some near-boundary point of the component has
-		// scanned; a plain row-major sweep can keep a component's bound
-		// enormous until the sweep finally reaches its boundary (every point
-		// above it then pays a huge ring search), while bit-reversed rows
-		// reach within d0/2^k of every row after 2^k rows, so bounds decay
-		// geometrically as in the old random-index order.
-		//
-		// Scan order cannot change the selected edges — every pruning rule
-		// (ring lower bound, supercell skip) discards only pairs strictly
-		// worse than the component's best at skip time, which bestD2's
-		// monotone decrease makes strictly worse than the final best, so
-		// each root still ends at the total-order minimum of its outgoing
-		// pairs. Only the stats counters are order-sensitive.
-		lg := bits.TrailingZeros32(uint32(d0)) // d0 is a power of two
-		for ry := 0; ry < d0; ry++ {
-			cy := int(bits.Reverse32(uint32(ry)) >> (32 - lg))
-			for cx := 0; cx < d0; cx++ {
-				home := cy*d0 + cx
-				ms, me := starts[home], starts[home+1]
-				if ms == me {
+					stats.CachedPoints++
 					continue
 				}
-				br := blockRoot[(cy>>1)*dc+(cx>>1)]
-				for k := ms; k < me; k++ {
-					r := int(rootM[k])
-					// Supercell skip: every foreign point is ≥ S away, and
-					// the component already holds a strictly better candidate
-					// (bestD2 only decreases within a round, so the test
-					// stays valid). The first point of a fresh component sees
-					// bestD2 = +Inf and always scans, so every component
-					// still finds its outgoing edge.
-					if br == int32(r) && bestD2[r] < skipCut {
-						stats.SkippedPoints++
-						continue
-					}
-					i := members[k]
-					// Cached champion pair: while candJ[k] is still foreign
-					// it remains i's exact minimum outgoing pair — offer it
-					// and skip the ring scan. The cache is left in place; it
-					// stays valid until candJ[k]'s component merges in.
-					if j := candJ[k]; j >= 0 && rootOf[j] != int32(r) {
-						if d2 := candD2[k]; d2 < bestD2[r] || (d2 == bestD2[r] && better(r, d2, i, j)) {
-							bestD2[r] = d2
-							bestU[r], bestV[r] = i, j
-						}
-						stats.CachedPoints++
-						continue
-					}
-					px, py := xsM[k], ysM[k]
-					// The scan is sequential, so only i itself can move the
-					// component's best while i scans: hold it in locals (bd,
-					// bu, bv) for the duration — the stores into the float64
-					// arrays below would otherwise force the compiler to
-					// reload bestD2[r] from memory on every candidate.
-					bd, bu, bv := bestD2[r], bestU[r], bestV[r]
-					for ring := 0; ; ring++ {
-						// Ring lower bound: any point in a cell at Chebyshev
-						// ring distance q from p's cell is at least (q-1)·cs
-						// away from p, so once that exceeds the component's
-						// best candidate the remaining rings cannot contain
-						// the minimum (nor an equal-weight tie, which the
-						// strict inequality excludes).
-						if ring >= 2 {
-							lb := float64(ring-1) * cs
-							if lb*lb > bd {
-								break
-							}
-						}
-						x0, x1 := cx-ring, cx+ring
-						y0, y1 := cy-ring, cy+ring
-						if x0 < 0 && x1 >= d0 && y0 < 0 && y1 >= d0 {
-							break // the shell lies entirely outside the grid
-						}
-						lx := x0
-						if lx < 0 {
-							lx = 0
-						}
-						hx := x1
-						if hx >= d0 {
-							hx = d0 - 1
-						}
-						// The shell's top and bottom rows are contiguous cell
-						// spans, so their members occupy one contiguous slot
-						// range each: scan it directly (the per-point rootM
-						// test subsumes the per-cell cellRoot skip).
-						// y0 ≤ cy < d0 and y1 ≥ cy ≥ 0 always hold.
-						for pass := 0; pass < 2; pass++ {
-							y := y0
-							if pass == 1 {
-								y = y1
-								if y1 == y0 {
-									break
-								}
-							} else if y < 0 {
-								continue
-							}
-							if y >= d0 {
-								continue
-							}
-							row := y * d0
-							for k2 := starts[row+lx]; k2 < starts[row+hx+1]; k2++ {
-								if int(rootM[k2]) == r {
-									continue
-								}
-								dx := px - xsM[k2]
-								dy := py - ysM[k2]
-								d2 := dx*dx + dy*dy
-								if d2 < bd {
-									bd = d2
-									bu, bv = i, members[k2]
-								} else if d2 == bd {
-									au, av := minmax32(i, members[k2])
-									cu, cv := minmax32(bu, bv)
-									if au < cu || (au == cu && av < cv) {
-										bu, bv = i, members[k2]
-									}
-								}
-							}
-						}
-						// Left and right shell columns, interior y only (the
-						// corner cells belong to the rows above).
-						ly := y0 + 1
-						if ly < 0 {
-							ly = 0
-						}
-						hy := y1 - 1
-						if hy >= d0 {
-							hy = d0 - 1
-						}
-						for pass := 0; pass < 2; pass++ {
-							x := x0
-							if pass == 1 {
-								x = x1
-								if x1 == x0 {
-									break
-								}
-								if x >= d0 {
-									continue
-								}
-							} else if x < 0 {
-								continue
-							}
-							for y := ly; y <= hy; y++ {
-								c := y*d0 + x
-								if int(cellRoot[c]) == r {
-									continue // every member is same-component
-								}
-								for k2 := starts[c]; k2 < starts[c+1]; k2++ {
-									if int(rootM[k2]) == r {
-										continue
-									}
-									dx := px - xsM[k2]
-									dy := py - ysM[k2]
-									d2 := dx*dx + dy*dy
-									if d2 < bd {
-										bd = d2
-										bu, bv = i, members[k2]
-									} else if d2 == bd {
-										au, av := minmax32(i, members[k2])
-										cu, cv := minmax32(bu, bv)
-										if au < cu || (au == cu && av < cv) {
-											bu, bv = i, members[k2]
-										}
-									}
-								}
-							}
-						}
-					}
-					bestD2[r], bestU[r], bestV[r] = bd, bu, bv
-					// Champion cache write: if i still supplies the shared
-					// best as its scan ends, that pair is i's exact minimum
-					// outgoing pair (see candJ above). Otherwise any previous
-					// cache entry has already failed its validity check, so
-					// clear it.
-					if bu == i {
-						candJ[k], candD2[k] = bv, bd
-					} else if candJ[k] >= 0 {
-						candJ[k] = -1
-					}
+				bd, bu, bv := q.query(leaf, k, r, bestD2[r], bestU[r], bestV[r])
+				bestD2[r], bestU[r], bestV[r] = bd, bu, bv
+				// Champion cache write: if k still supplies the shared best
+				// as its query ends, that pair is k's exact minimum outgoing
+				// pair (see candJ above). Otherwise any previous cache entry
+				// has already failed its validity check, so clear it.
+				if bu == k {
+					candJ[k], candD2[k] = bv, bd
+				} else if candJ[k] >= 0 {
+					candJ[k] = -1
 				}
 			}
 		}
@@ -574,23 +322,311 @@ func emstCtx(ctx context.Context, pts []geom.Point, st *emstStats) ([]Edge, erro
 			}
 			if dsu.Union(int(bestU[r]), int(bestV[r])) {
 				edges = append(edges, Edge{
-					U: int(bestU[r]), V: int(bestV[r]),
+					U: int(members[bestU[r]]), V: int(members[bestV[r]]),
 					Weight: math.Sqrt(bestD2[r]),
 				})
 				progressed = true
 			}
 		}
 		if !progressed {
-			// No component found an outgoing edge (NaN coordinates or a
-			// bound inversion): the dense oracle handles what the grid
-			// cannot.
+			// No component found an outgoing edge (a bound inversion): the
+			// dense oracle handles what the tree cannot.
 			return Prim(pts), nil
 		}
 	}
 	if st != nil {
+		stats.PairTests, stats.SkippedNodes = q.pairTests, q.skipped
 		*st = stats
 	}
 	return edges, nil
+}
+
+// kdTree is a median-split 2-d tree over a slot permutation of the points,
+// with nodes in preorder: a node's left child is the next node, and every
+// subtree owns one contiguous slot range.
+type kdTree struct {
+	nodes  []kdNode
+	leaves []int32 // leaf nodes in slot order
+}
+
+// kdNode is one k-d tree node. A search reads a node's box, region and
+// links together, so they share a node record.
+type kdNode struct {
+	// Bounding box of the node's points.
+	bx0, by0, bx1, by1 float64
+	// Split region: the rectangle the ancestors' splits assign to the node,
+	// ±Inf where unbounded. Splits are closed on both sides, so every point
+	// outside the subtree lies on or beyond the region's boundary.
+	rx0, ry0, rx1, ry1 float64
+	lo, hi             int32 // slot range [lo, hi) of the node's points
+	right              int32 // right child, or -1 for a leaf (the left child is node+1)
+	parent             int32 // -1 for the root
+}
+
+// newKDTree builds the tree over the slots of xs/ys, permuting xs, ys and
+// members together in place.
+func newKDTree(xs, ys []float64, members []int32) *kdTree {
+	n := len(xs)
+	// Halving splits leave every leaf at least emstLeaf/2 points, which
+	// bounds the leaf count, and a binary tree has one fewer internal node.
+	c := 2 * (n/(emstLeaf/2) + 1)
+	t := &kdTree{nodes: make([]kdNode, 0, c), leaves: make([]int32, 0, c/2)}
+	inf := math.Inf(1)
+	t.build(xs, ys, members, 0, int32(n), -1, -inf, -inf, inf, inf)
+	return t
+}
+
+// build appends the node for slots [lo, hi) with the given parent and split
+// region, recursing into a median split across the wider axis of the
+// points' bounding box, and returns the node's index.
+func (t *kdTree) build(xs, ys []float64, members []int32, lo, hi, parent int32, rx0, ry0, rx1, ry1 float64) int32 {
+	nd := kdNode{
+		bx0: xs[lo], by0: ys[lo], bx1: xs[lo], by1: ys[lo],
+		rx0: rx0, ry0: ry0, rx1: rx1, ry1: ry1,
+		lo: lo, hi: hi, right: -1, parent: parent,
+	}
+	for k := lo + 1; k < hi; k++ {
+		if x := xs[k]; x < nd.bx0 {
+			nd.bx0 = x
+		} else if x > nd.bx1 {
+			nd.bx1 = x
+		}
+		if y := ys[k]; y < nd.by0 {
+			nd.by0 = y
+		} else if y > nd.by1 {
+			nd.by1 = y
+		}
+	}
+	x := int32(len(t.nodes))
+	t.nodes = append(t.nodes, nd)
+	if hi-lo <= emstLeaf {
+		t.leaves = append(t.leaves, x)
+		return x
+	}
+	// After the select, slots [lo, mid) hold keys ≤ the split value and
+	// [mid, hi) keys ≥ it: the two closed half-planes of the children.
+	mid := lo + (hi-lo)/2
+	if nd.bx1-nd.bx0 >= nd.by1-nd.by0 {
+		kdSelect(xs, ys, members, lo, hi, mid)
+		s := xs[mid]
+		t.build(xs, ys, members, lo, mid, x, rx0, ry0, s, ry1)
+		t.nodes[x].right = t.build(xs, ys, members, mid, hi, x, s, ry0, rx1, ry1)
+	} else {
+		kdSelect(ys, xs, members, lo, hi, mid)
+		s := ys[mid]
+		t.build(xs, ys, members, lo, mid, x, rx0, ry0, rx1, s)
+		t.nodes[x].right = t.build(xs, ys, members, mid, hi, x, rx0, s, rx1, ry1)
+	}
+	return x
+}
+
+// kdSelect reorders slots [lo, hi) so that key[k] holds the value it would
+// have in sorted order, with keys ≤ it before k and keys ≥ it after
+// (Hoare's selection, median-of-three pivot), carrying other and members
+// along. Equal keys stop both scans and are swapped across, so runs of
+// duplicates still split evenly. Keys must not be NaN.
+func kdSelect(key, other []float64, members []int32, lo, hi, k int32) {
+	l, r := lo, hi-1
+	for l < r {
+		a, b, c := key[l], key[l+(r-l)/2], key[r]
+		if a > b {
+			a, b = b, a
+		}
+		p := min(b, max(a, c)) // the median of the three
+		i, j := l, r
+		for i <= j {
+			for key[i] < p {
+				i++
+			}
+			for key[j] > p {
+				j--
+			}
+			if i <= j {
+				key[i], key[j] = key[j], key[i]
+				other[i], other[j] = other[j], other[i]
+				members[i], members[j] = members[j], members[i]
+				i++
+				j--
+			}
+		}
+		// Now [l, j] ≤ p ≤ [i, r], and any slot strictly between holds p.
+		if k <= j {
+			r = j
+		} else if k >= i {
+			l = i
+		} else {
+			return
+		}
+	}
+}
+
+// tag sets nodeRoot[x] to the common component root of every point under
+// node x, or -1 if they span components. Children follow their parent in
+// preorder, so one reverse sweep tags both children before each parent.
+func (t *kdTree) tag(rootM, nodeRoot []int32) {
+	for x := len(t.nodes) - 1; x >= 0; x-- {
+		nd := &t.nodes[x]
+		if c := nd.right; c >= 0 {
+			if a := nodeRoot[x+1]; a == nodeRoot[c] {
+				nodeRoot[x] = a
+			} else {
+				nodeRoot[x] = -1
+			}
+			continue
+		}
+		rs := rootM[nd.lo:nd.hi]
+		cr := rs[0]
+		for _, rj := range rs[1:] {
+			if rj != cr {
+				cr = -1
+				break
+			}
+		}
+		nodeRoot[x] = cr
+	}
+}
+
+// boxDist2 is the squared distance from (px, py) to the node's bounding box.
+// Float rounding is monotone, so it never exceeds the computed squared
+// distance to any point in the box.
+func (nd *kdNode) boxDist2(px, py float64) float64 {
+	var dx, dy float64
+	if px < nd.bx0 {
+		dx = nd.bx0 - px
+	} else if px > nd.bx1 {
+		dx = px - nd.bx1
+	}
+	if py < nd.by0 {
+		dy = nd.by0 - py
+	} else if py > nd.by1 {
+		dy = py - nd.by1
+	}
+	return dx*dx + dy*dy
+}
+
+// kdQuery holds one EMST run's slot-indexed state for the per-point
+// nearest-foreign-neighbor queries, plus their work counters.
+type kdQuery struct {
+	tr       *kdTree
+	xs, ys   []float64
+	members  []int32
+	rootM    []int32 // component root per slot, this round
+	nodeRoot []int32 // per-node tag, this round (see kdTree.tag)
+	stack    []kdEntry
+
+	pairTests, skipped int
+}
+
+// kdEntry is a pending subtree of a search with its box distance.
+type kdEntry struct {
+	node int32
+	d2   float64
+}
+
+// query folds into the candidate (bd, bu, bv) every pair (k, j) with k the
+// querying slot, in leaf, and j a slot outside k's component r, and returns
+// the Kruskal-order minimum. It scans the own leaf, then walks up the
+// ancestors, searching each one's other child, until the squared distance
+// from k to the current node's split region boundary exceeds the bound:
+// every point outside the node lies at least that far away. Every pruning
+// test is a strict comparison against bd, so a pair tying the bound is
+// always examined and ties resolve exactly.
+func (q *kdQuery) query(leaf, k, r int32, bd float64, bu, bv int32) (float64, int32, int32) {
+	nodes := q.tr.nodes
+	px, py := q.xs[k], q.ys[k]
+	if q.nodeRoot[leaf] == r {
+		q.skipped++
+	} else {
+		bd, bu, bv = q.scan(nodes[leaf].lo, nodes[leaf].hi, r, k, px, py, bd, bu, bv)
+	}
+	for x := leaf; x != 0; {
+		nd := &nodes[x]
+		if a, b, c, d := px-nd.rx0, nd.rx1-px, py-nd.ry0, nd.ry1-py; a*a > bd && b*b > bd && c*c > bd && d*d > bd {
+			break
+		}
+		p := nd.parent
+		s := p + 1
+		if s == x {
+			s = nodes[p].right
+		}
+		if q.nodeRoot[s] == r {
+			q.skipped++
+		} else if d := nodes[s].boxDist2(px, py); d <= bd {
+			bd, bu, bv = q.search(kdEntry{s, d}, r, k, px, py, bd, bu, bv)
+		}
+		x = p
+	}
+	return bd, bu, bv
+}
+
+// search folds the subtree s, already admitted with its box distance, into
+// querying slot i's candidate, depth first and nearer child first, skipping
+// subtrees tagged with i's component r and subtrees whose box lies strictly
+// beyond the bound.
+func (q *kdQuery) search(s kdEntry, r, i int32, px, py, bd float64, bu, bv int32) (float64, int32, int32) {
+	nodes := q.tr.nodes
+	stack := append(q.stack[:0], s)
+	for len(stack) > 0 {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if e.d2 > bd {
+			continue
+		}
+		x := e.node
+		nd := &nodes[x]
+		if nd.right < 0 {
+			bd, bu, bv = q.scan(nd.lo, nd.hi, r, i, px, py, bd, bu, bv)
+			continue
+		}
+		top := len(stack)
+		for _, c := range [2]int32{x + 1, nd.right} {
+			if q.nodeRoot[c] == r {
+				q.skipped++
+			} else if d := nodes[c].boxDist2(px, py); d <= bd {
+				stack = append(stack, kdEntry{c, d})
+			}
+		}
+		// Pop the nearer child first: it tightens bd soonest.
+		if len(stack) == top+2 && stack[top].d2 < stack[top+1].d2 {
+			stack[top], stack[top+1] = stack[top+1], stack[top]
+		}
+	}
+	q.stack = stack
+	return bd, bu, bv
+}
+
+// scan folds the slots [s, e) outside component r into querying slot i's
+// candidate.
+func (q *kdQuery) scan(s, e, r, i int32, px, py, bd float64, bu, bv int32) (float64, int32, int32) {
+	xs, ys, rs := q.xs[s:e], q.ys[s:e], q.rootM[s:e]
+	tests := 0
+	for k, rk := range rs {
+		if rk == r {
+			continue
+		}
+		tests++
+		dx := px - xs[k]
+		dy := py - ys[k]
+		d2 := dx*dx + dy*dy
+		if d2 < bd {
+			bd = d2
+			bu, bv = i, s+int32(k)
+		} else if d2 == bd && pairLess(q.members, i, s+int32(k), bu, bv) {
+			bu, bv = i, s+int32(k)
+		}
+	}
+	q.pairTests += tests
+	return bd, bu, bv
+}
+
+// pairLess reports whether slot pair (u, v) precedes slot pair (bu, bv) in
+// Kruskal's tie order, the sorted pair of point indices. Only candidates of
+// equal weight reach it, and a finite weight always replaces the initial
+// (+Inf, -1, -1) best before any tie can arise.
+func pairLess(members []int32, u, v, bu, bv int32) bool {
+	au, av := minmax32(members[u], members[v])
+	cu, cv := minmax32(members[bu], members[bv])
+	return au < cu || (au == cu && av < cv)
 }
 
 func minmax32(a, b int32) (int32, int32) {
@@ -756,7 +792,7 @@ func Build(pts []geom.Point, edges []Edge, sink int) (*Tree, error) {
 }
 
 // NewMSTTree is the one-call constructor used by the public planner: it
-// computes the Euclidean MST of pts (grid-accelerated Borůvka, with the
+// computes the Euclidean MST of pts (k-d tree Borůvka, with the
 // dense Prim as small-input and degenerate-input fallback) and orients it
 // toward sink.
 func NewMSTTree(pts []geom.Point, sink int) (*Tree, error) {

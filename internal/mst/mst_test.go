@@ -3,10 +3,12 @@ package mst
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"aggrate/internal/geom"
 	"aggrate/internal/rng"
+	"aggrate/internal/scenario"
 )
 
 func randomPoints(n int, seed uint64, side float64) []geom.Point {
@@ -123,9 +125,8 @@ func sameEdges(a, b []Edge) bool {
 	return true
 }
 
-// clusteredPoints bunches points into tight far-apart clusters, the
-// adversarial layout for the grid ring search (late Borůvka rounds must
-// reach across wide empty space).
+// clusteredPoints bunches points into tight far-apart clusters: late
+// Borůvka rounds must reach across wide empty space.
 func clusteredPoints(n int, seed uint64) []geom.Point {
 	r := rng.New(seed)
 	centers := []geom.Point{{X: 0, Y: 0}, {X: 5000, Y: 100}, {X: 2000, Y: 4000}, {X: 4800, Y: 4900}}
@@ -137,9 +138,9 @@ func clusteredPoints(n int, seed uint64) []geom.Point {
 	return pts
 }
 
-// TestEMSTMatchesPrim: the grid Borůvka must reproduce the dense oracle's
+// TestEMSTMatchesPrim: the k-d tree Borůvka must reproduce the dense oracle's
 // edge set exactly on jittered pointsets (where the MST is unique), uniform
-// and clustered, above and below the grid cutoff.
+// and clustered, above and below the Prim cutoff.
 func TestEMSTMatchesPrim(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, n := range []int{2, 50, 300, 1500} {
@@ -194,13 +195,12 @@ func TestEMSTTieHeavy(t *testing.T) {
 	}
 }
 
-// TestEMSTSupercellSkip pins the supercell-skipping round structure at sizes
-// where whole coarse cells merge early: the edge set must stay identical to
-// the dense Prim oracle on uniform, clustered, and annulus geometry, and on
-// the uniform instance — where components' best outgoing candidates sit well
-// inside the 2-cell skip radius — the skip must actually engage, so the
-// optimization cannot silently regress into dead code.
-func TestEMSTSupercellSkip(t *testing.T) {
+// TestEMSTSubtreeSkip pins the per-round subtree tags at sizes where whole
+// k-d subtrees merge early: the edge set must stay identical to the dense
+// Prim oracle on uniform, clustered, and annulus geometry, and on the
+// uniform instance the tag skip must actually engage, so it cannot silently
+// regress into dead code.
+func TestEMSTSubtreeSkip(t *testing.T) {
 	annulus := func(n int, seed uint64) []geom.Point {
 		r := rng.New(seed)
 		pts := make([]geom.Point, n)
@@ -227,25 +227,25 @@ func TestEMSTSupercellSkip(t *testing.T) {
 			t.Fatalf("%s: emstCtx: %v", tc.name, err)
 		}
 		if !sameEdges(edges, Prim(tc.pts)) {
-			t.Fatalf("%s: supercell-skipping EMST edge set differs from Prim", tc.name)
+			t.Fatalf("%s: EMST edge set differs from Prim", tc.name)
 		}
 		if st.Rounds == 0 {
 			t.Fatalf("%s: stats not collected", tc.name)
 		}
-		if tc.wantSkips && st.SkippedPoints == 0 {
-			t.Fatalf("%s: supercell skip never engaged (supercells=%d)", tc.name, st.Supercells)
+		if tc.wantSkips && st.SkippedNodes == 0 {
+			t.Fatalf("%s: subtree skip never engaged", tc.name)
 		}
-		t.Logf("%s: rounds=%d supercells=%d skipped_points=%d",
-			tc.name, st.Rounds, st.Supercells, st.SkippedPoints)
+		t.Logf("%s: rounds=%d skipped_nodes=%d pair_tests=%d cached_points=%d",
+			tc.name, st.Rounds, st.SkippedNodes, st.PairTests, st.CachedPoints)
 	}
 }
 
-// TestEMSTSupercellTieHeavy re-pins the tie-breaking guarantee on the exact
-// integer grid at a size where supercells form: equal-weight candidates must
-// not be skipped into a suboptimal (or non-spanning) choice. Edge sets may
-// legitimately differ from Prim's under ties, so the assertion is spanning +
-// optimal total weight, like TestEMSTTieHeavy.
-func TestEMSTSupercellTieHeavy(t *testing.T) {
+// TestEMSTSubtreeTieHeavy re-pins the tie-breaking guarantee on the exact
+// integer grid at a size where whole subtrees merge: equal-weight candidates
+// must not be pruned into a suboptimal (or non-spanning) choice. Edge sets
+// may legitimately differ from Prim's under ties, so the assertion is
+// spanning + optimal total weight, like TestEMSTTieHeavy.
+func TestEMSTSubtreeTieHeavy(t *testing.T) {
 	var pts []geom.Point
 	for y := 0; y < 64; y++ {
 		for x := 0; x < 64; x++ {
@@ -267,8 +267,87 @@ func TestEMSTSupercellTieHeavy(t *testing.T) {
 	if _, err := Build(pts, got, 0); err != nil {
 		t.Fatalf("EMST edges do not form a spanning tree: %v", err)
 	}
-	t.Logf("tie-heavy 64x64: rounds=%d supercells=%d skipped_points=%d",
-		st.Rounds, st.Supercells, st.SkippedPoints)
+	t.Logf("tie-heavy 64x64: rounds=%d skipped_nodes=%d pair_tests=%d",
+		st.Rounds, st.SkippedNodes, st.PairTests)
+}
+
+// TestEMSTWorkBound is the hardware-independent work gate: distance
+// evaluations per point stay bounded on every density profile, wide length
+// diversity included (a uniform grid, whose fixed cells cannot follow the
+// annulus presets' central crowding, did 17044 per point on annulus-wide
+// at n=8000 and 76360 at n=32000). On the preset that stresses it most,
+// the edge set must also match the dense oracle at two seeds.
+func TestEMSTWorkBound(t *testing.T) {
+	const maxPerPoint = 200
+	presets := scenario.Presets()
+	cases := []struct {
+		preset string
+		n      int
+	}{
+		{"annulus-wide", 8000},
+		{"annulus-wide", 32000},
+		{"annulus", 10000},
+		{"cluster", 20000},
+		{"uniform", 20000},
+		{"grid-exact", 20000},
+	}
+	for _, tc := range cases {
+		pts := presets[tc.preset].Generate(tc.n, 1)
+		var st emstStats
+		edges, err := emstCtx(context.Background(), pts, &st)
+		if err != nil || len(edges) != tc.n-1 {
+			t.Fatalf("%s n=%d: %d edges, err %v", tc.preset, tc.n, len(edges), err)
+		}
+		perPoint := float64(st.PairTests) / float64(tc.n)
+		t.Logf("%s n=%d: pair_tests/point=%.1f rounds=%d", tc.preset, tc.n, perPoint, st.Rounds)
+		if perPoint > maxPerPoint {
+			t.Errorf("%s n=%d: %.1f distance evaluations per point, budget %d",
+				tc.preset, tc.n, perPoint, maxPerPoint)
+		}
+	}
+	for _, seed := range []uint64{1, 20261017} {
+		pts := presets["annulus-wide"].Generate(8000, seed)
+		if !sameEdges(EMST(pts), Prim(pts)) {
+			t.Errorf("annulus-wide n=8000 seed=%d: EMST edge set differs from Prim", seed)
+		}
+	}
+}
+
+// TestEMSTNonFinite: a NaN or infinite coordinate is an error naming the
+// point, never a hang or a Prim panic about disconnection, and so is an
+// extent whose squared distances overflow. n=1000 is above emstCutoff, so
+// the check must run before the k-d build. EMST panics with the same
+// message.
+func TestEMSTNonFinite(t *testing.T) {
+	cases := []struct {
+		name string
+		bad  geom.Point
+		want string
+	}{
+		{"nan", geom.Point{X: math.NaN(), Y: 1}, "point 617 has a non-finite coordinate"},
+		{"inf", geom.Point{X: 1, Y: math.Inf(1)}, "point 617 has a non-finite coordinate"},
+		{"overflow", geom.Point{X: 1e300, Y: -1e300}, "overflows squared distances"},
+	}
+	for _, tc := range cases {
+		pts := randomPoints(1000, 61, 1000)
+		pts[617] = tc.bad
+		edges, err := EMSTCtx(context.Background(), pts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || edges != nil {
+			t.Fatalf("%s: EMSTCtx = (%d edges, %v), want an error containing %q", tc.name, len(edges), err, tc.want)
+		}
+		if _, err := NewMSTTreeCtx(context.Background(), pts, 0); err == nil {
+			t.Fatalf("%s: NewMSTTreeCtx accepted the input", tc.name)
+		}
+		func() {
+			defer func() {
+				r := recover()
+				if e, ok := r.(error); !ok || e.Error() != err.Error() {
+					t.Fatalf("%s: EMST panicked with %v, want %q", tc.name, r, err)
+				}
+			}()
+			EMST(pts)
+		}()
+	}
 }
 
 // TestEMSTDegenerate: coincident points (zero extent) must fall back to the
@@ -287,16 +366,18 @@ func TestEMSTDegenerate(t *testing.T) {
 	}
 }
 
-// BenchmarkMST compares the dense Prim with the grid Borůvka at a
+// BenchmarkMST compares the dense Prim with the k-d tree Borůvka at a
 // pipeline-realistic size.
 func BenchmarkMST(b *testing.B) {
 	pts := randomPoints(10000, 42, 1000)
 	b.Run("prim", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Prim(pts)
 		}
 	})
 	b.Run("emst", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			EMST(pts)
 		}
