@@ -10,12 +10,13 @@
 // minimum endpoint distance; otherwise they are f-conflicting. The conflict
 // graph G_f(L) has the links as vertices and f-conflicting pairs as edges.
 //
-// Three instantiations carry the paper's results:
+// Every threshold of the paper has the form f_γ(x) = γ·h(x), and Func
+// carries it in that factored form:
 //
-//   - G_γ     (f ≡ γ):            χ(G_γ(MST)) = O(1)   — Theorem 2;
-//   - G_{γlog} (f = γ·max{1, log^{2/(α-2)} x}): independent sets are
+//   - G_γ     (h ≡ 1):            χ(G_γ(MST)) = O(1)   — Theorem 2;
+//   - G_{γlog} (h = max{1, log^{2/(α-2)} x}): independent sets are
 //     feasible under global power control, χ = O(log*Δ)·χ(G_γ) — "G_arb";
-//   - G^δ_γ   (f = γ·x^δ, δ∈(0,1)): independent sets are feasible under an
+//   - G^δ_γ   (h = x^δ, δ∈(0,1)): independent sets are feasible under an
 //     oblivious scheme P_τ, χ = O(log log Δ)·χ(G_γ) — "G_obl".
 //
 // The adjacency is stored in CSR (compressed sparse row) form — one flat
@@ -23,10 +24,13 @@
 // loops walk contiguous memory and the build allocates O(1) slices instead
 // of one per vertex.
 //
-// Build is the production constructor: it buckets links into dyadic length
-// classes, indexes endpoints in one uniform hash grid per class, and detects
-// edges with a goroutine pool, so 10⁵-link instances build in seconds.
-// BuildNaive keeps the exact O(n²) pairwise scan as a cross-check oracle.
+// Build is the one production constructor: it buckets links into dyadic
+// length classes, indexes endpoints in one hash grid per class, and detects
+// edges with a goroutine pool, so 10⁶-link instances build in seconds. Every
+// graph it returns carries a conflict strength per edge (see lookahead.go),
+// so one build at an escalated γ serves every smaller γ by a filter scan.
+// BuildNaive keeps the exact O(n²) pairwise scan, without strengths, as the
+// cross-check oracle.
 package conflict
 
 import (
@@ -43,43 +47,54 @@ import (
 	"aggrate/internal/par"
 )
 
-// Func is a conflict-threshold function f together with a display name.
-// Eval must be positive and non-decreasing on [1, ∞): the bucketed Build
-// relies on monotonicity to bound candidate-search radii, and a decreasing
-// Eval silently breaks its exactness guarantee. Sub-linearity is the
-// paper's additional requirement for constant inductive independence
-// (Appendix A) — it bounds coloring quality, not build correctness, so
-// super-linear thresholds (e.g. the protocol-model f(x) = k·x of the naive
-// scheduling strategy) still build exactly.
+// Func is a conflict threshold f_γ(x) = γ·h(x): a γ-free display name, the
+// conflict parameter Gamma, and the γ-free factor H. A nil H means h ≡ 1.
+//
+// H must be positive and non-decreasing on [1, ∞): the bucketed Build relies
+// on monotonicity to bound candidate-search radii, and a decreasing H
+// silently breaks its exactness guarantee. Sub-linearity is the paper's
+// additional requirement for constant inductive independence (Appendix A) —
+// it bounds coloring quality, not build correctness, so super-linear
+// thresholds (e.g. the protocol-model h(x) = x of the naive scheduling
+// strategy) still build exactly.
 type Func struct {
-	Name string
-	Eval func(x float64) float64
-	// Const, when positive, asserts that Eval is the constant function
-	// x ↦ Const. The bucketed build's innermost pair test then computes the
-	// threshold directly instead of calling the Eval closure per pair — the
-	// dominant per-candidate cost for G_γ builds. Constructors that set it
-	// (Gamma) guarantee agreement with Eval; leave it zero otherwise.
-	Const float64
+	Name  string
+	Gamma float64
+	H     func(x float64) float64
+}
+
+// Eval returns f_γ(x) as the floating-point expression Gamma*H(x) — one
+// multiplication against the exact value H returns. Every pair test in the
+// package computes its threshold through this expression, which is what
+// keeps strength filtering bit-exact (see strengthOf).
+func (f Func) Eval(x float64) float64 {
+	return f.Gamma * f.hAt(x)
+}
+
+// hAt returns h(x), 1 for a nil H.
+func (f Func) hAt(x float64) float64 {
+	if f.H == nil {
+		return 1
+	}
+	return f.H(x)
+}
+
+// At returns a copy of f at conflict parameter gamma.
+func (f Func) At(gamma float64) Func {
+	f.Gamma = gamma
+	return f
 }
 
 // Gamma returns the constant function f ≡ γ defining G_γ. The paper's G₁ is
 // Gamma(1).
 func Gamma(gamma float64) Func {
-	return Func{
-		Name:  fmt.Sprintf("G_gamma(%g)", gamma),
-		Eval:  func(x float64) float64 { return gamma },
-		Const: gamma,
-	}
+	return Func{Name: "G_gamma", Gamma: gamma}
 }
 
 // PowerLaw returns f(x) = γ·x^δ defining G^δ_γ, the conflict graph whose
 // independent sets are feasible under an oblivious power scheme.
 func PowerLaw(gamma, delta float64) Func {
-	pw := powFunc(delta)
-	return Func{
-		Name: fmt.Sprintf("G_obl(%g,%g)", gamma, delta),
-		Eval: func(x float64) float64 { return gamma * pw(x) },
-	}
+	return Func{Name: fmt.Sprintf("G_obl(%g)", delta), Gamma: gamma, H: powFunc(delta)}
 }
 
 // powFunc returns x ↦ x^δ, routed through math.Sqrt for δ = ½ — the default
@@ -99,26 +114,21 @@ func powFunc(delta float64) func(float64) float64 {
 func LogThreshold(gamma, alpha float64) Func {
 	exp := 2 / (alpha - 2)
 	return Func{
-		Name: fmt.Sprintf("G_arb(%g,alpha=%g)", gamma, alpha),
-		Eval: func(x float64) float64 {
+		Name:  fmt.Sprintf("G_arb(alpha=%g)", alpha),
+		Gamma: gamma,
+		H: func(x float64) float64 {
 			if x <= 2 {
-				return gamma
+				return 1
 			}
-			return gamma * math.Max(1, math.Pow(math.Log2(x), exp))
+			return math.Max(1, math.Pow(math.Log2(x), exp))
 		},
 	}
 }
 
-// Conflicting reports whether links i and j are f-conflicting.
+// Conflicting reports whether links i and j are f-conflicting. Pairs with a
+// zero-length link conflict at every γ.
 func Conflicting(f Func, i, j geom.Link) bool {
 	lmin, lmax := geom.MinMaxLen(i, j)
-	return conflictingLens(f, i, j, lmin, lmax)
-}
-
-// conflictingLens is Conflicting with the two link lengths already known
-// (ordered lmin ≤ lmax). The bucketed build precomputes every length once,
-// so its pair tests skip the two hypot calls that dominate Conflicting.
-func conflictingLens(f Func, i, j geom.Link, lmin, lmax float64) bool {
 	if lmin <= 0 {
 		return true
 	}
@@ -138,16 +148,16 @@ type Graph struct {
 	RowPtr []int32
 	// Neighbors holds all adjacency rows back to back (2·Edges entries).
 	Neighbors []int32
-	// Strengths, when non-nil, parallels Neighbors: Strengths[k] is the
-	// conflict strength of the pair (i, Neighbors[k]) — the smallest γ at
-	// which the two links f_γ-conflict under the threshold family the graph
-	// was built for (see Family and BuildLookaheadCtx). Only strength-
-	// annotated builds populate it; plain Build leaves it nil.
+	// Strengths parallels Neighbors: Strengths[k] is the conflict strength
+	// of the pair (i, Neighbors[k]) — the smallest γ at which the two links
+	// conflict under F's factor H (see strengthOf). Build and FilterCtx
+	// always populate it; only the BuildNaive oracle and FromAdj leave it
+	// nil.
 	Strengths []float64
 	// Stats counts the candidate-pruning work of the bucketed build that
-	// produced the graph; zero for naive or test-constructed graphs.
-	// FilterCtx propagates it, so filtered lookahead graphs report the
-	// annotated build's counters.
+	// produced the graph; zero for pairwise-scanned or test-constructed
+	// graphs. FilterCtx propagates it, so filtered graphs report the build's
+	// counters.
 	Stats BuildStats
 }
 
@@ -188,17 +198,19 @@ func (s BuildStats) CandRatio() float64 {
 	return float64(s.CandScanned) / float64(s.CandAccepted)
 }
 
-// edge is one undirected edge, owned by the discovering endpoint.
-type edge struct{ i, j int32 }
+// edge is one undirected edge, owned by the discovering endpoint, with its
+// conflict strength q.
+type edge struct {
+	i, j int32
+	q    float64
+}
 
-// fromEdges assembles the CSR adjacency from an undirected edge list in one
-// counting pass: count both endpoint degrees, prefix-sum into RowPtr, then
-// scatter each edge in both directions. Rows come out in edge-list order;
-// sortRows reports whether a per-row sort pass is still required (the naive
-// builder's lexicographic discovery order needs none). qs, when non-nil,
-// parallels edges with per-edge conflict strengths, scattered (and co-sorted)
-// into Graph.Strengths alongside the neighbor entries.
-func fromEdges(links []geom.Link, f Func, edges []edge, qs []float64, sortRows bool) *Graph {
+// fromEdges assembles the CSR adjacency, strengths included, from an
+// undirected edge list in one counting pass: count both endpoint degrees,
+// prefix-sum into RowPtr, then scatter each edge in both directions. Rows
+// come out in edge-list order, so an edge list in lexicographic (i, j) order
+// yields ascending rows; any other order needs sortRows afterwards.
+func fromEdges(links []geom.Link, f Func, edges []edge) *Graph {
 	n := len(links)
 	g := &Graph{
 		Links:  append([]geom.Link(nil), links...),
@@ -219,37 +231,21 @@ func fromEdges(links []geom.Link, f Func, edges []edge, qs []float64, sortRows b
 		g.RowPtr[i+1] += g.RowPtr[i]
 	}
 	g.Neighbors = make([]int32, 2*len(edges))
-	if qs != nil {
-		g.Strengths = make([]float64, 2*len(edges))
-	}
+	g.Strengths = make([]float64, 2*len(edges))
 	fill := make([]int32, n)
 	copy(fill, g.RowPtr[:n])
-	for k, e := range edges {
-		g.Neighbors[fill[e.i]] = e.j
-		g.Neighbors[fill[e.j]] = e.i
-		if qs != nil {
-			g.Strengths[fill[e.i]] = qs[k]
-			g.Strengths[fill[e.j]] = qs[k]
-		}
+	for _, e := range edges {
+		g.Neighbors[fill[e.i]], g.Strengths[fill[e.i]] = e.j, e.q
+		g.Neighbors[fill[e.j]], g.Strengths[fill[e.j]] = e.i, e.q
 		fill[e.i]++
 		fill[e.j]++
-	}
-	if sortRows {
-		if qs == nil {
-			par.For(n, func(i int) {
-				slices.Sort(g.Row(i))
-			})
-		} else {
-			sortRowsWithStrengths(g)
-		}
 	}
 	return g
 }
 
-// sortRowsWithStrengths sorts every adjacency row ascending, permuting the
-// parallel Strengths entries in lockstep, so annotated rows keep the same
-// neighbor order as plain builds.
-func sortRowsWithStrengths(g *Graph) {
+// sortRows sorts every adjacency row ascending, permuting the parallel
+// Strengths entries in lockstep.
+func sortRows(g *Graph) {
 	n := g.N()
 	par.ForBlocks(n, 256, func(next func() (int, int, bool)) {
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
@@ -276,16 +272,16 @@ func sortRowsWithStrengths(g *Graph) {
 	})
 }
 
-// FromAdj assembles a Graph from explicit adjacency lists — the test-side
-// constructor for synthetic graphs and slice-form oracles. adj must be
-// symmetric (j in adj[i] ⟺ i in adj[j]); rows are copied, deduplicated,
-// and sorted into CSR form.
+// FromAdj assembles a strength-free Graph from explicit adjacency lists —
+// the test-side constructor for synthetic graphs and slice-form oracles. adj
+// must be symmetric (j in adj[i] ⟺ i in adj[j]); rows are copied,
+// deduplicated, and sorted into CSR form.
 func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 	var edges []edge
 	for i, row := range adj {
 		for _, j := range row {
 			if int32(i) < j {
-				edges = append(edges, edge{int32(i), j})
+				edges = append(edges, edge{i: int32(i), j: j})
 			}
 		}
 	}
@@ -296,17 +292,21 @@ func FromAdj(links []geom.Link, f Func, adj [][]int32) *Graph {
 		return cmp.Compare(a.j, b.j)
 	})
 	edges = slices.Compact(edges)
-	return fromEdges(links, f, edges, nil, true)
+	g := fromEdges(links, f, edges)
+	g.Strengths = nil
+	return g
 }
 
 // naiveCutoff is the instance size below which the bucketed build is not
 // worth its setup cost and Build falls back to the pairwise scan.
 const naiveCutoff = 128
 
-// Build constructs G_f(links). Instances above naiveCutoff links with all
-// lengths positive go through the grid-bucketed parallel search; the result
-// is bit-identical (same edge set, same sorted adjacency) to BuildNaive,
-// which remains the oracle for small or degenerate inputs.
+// Build constructs G_f(links) at γ = f.Gamma with Graph.Strengths
+// populated. Instances above naiveCutoff links with all lengths positive go
+// through the grid-bucketed parallel search, the rest through the pairwise
+// scan; either way the edge set and sorted adjacency are bit-identical to
+// BuildNaive, and FilterCtx materializes the graph at any smaller γ without
+// another build.
 func Build(links []geom.Link, f Func) *Graph {
 	g, _ := BuildCtx(context.Background(), links, f) // Background never cancels
 	return g
@@ -321,9 +321,9 @@ func BuildCtx(ctx context.Context, links []geom.Link, f Func) (*Graph, error) {
 		return nil, err
 	}
 	if len(links) <= naiveCutoff {
-		return BuildNaive(links, f), nil
+		return buildPairwise(links, f), nil
 	}
-	g, err := buildBucketed(ctx, links, f, nil, 0)
+	g, err := buildBucketed(ctx, links, f)
 	if err != nil {
 		return nil, err
 	}
@@ -335,24 +335,52 @@ func BuildCtx(ctx context.Context, links []geom.Link, f Func) (*Graph, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return BuildNaive(links, f), nil
+	return buildPairwise(links, f), nil
 }
 
-// BuildNaive constructs G_f(links) by exact pairwise testing (O(n²)). The
+// buildPairwise is Build's small-n and degenerate-input path: the exact
+// O(n²) pairwise scan with the pair test phrased as lmin·(γ·h) — the same
+// expression as Conflicting — and a strength per accepted edge. Pairs with
+// l_min ≤ 0 conflict at every γ and get strength 0.
+func buildPairwise(links []geom.Link, f Func) *Graph {
+	n := len(links)
+	var edges []edge
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			lmin, lmax := geom.MinMaxLen(links[i], links[j])
+			if lmin <= 0 {
+				edges = append(edges, edge{int32(i), int32(j), 0})
+				continue
+			}
+			hx := f.hAt(lmax / lmin)
+			thr := lmin * (f.Gamma * hx)
+			d2 := geom.LinkDist2(links[i], links[j])
+			if d2 <= thr*thr {
+				edges = append(edges, edge{int32(i), int32(j), strengthOf(d2, lmin, hx, f.Gamma)})
+			}
+		}
+	}
+	return fromEdges(links, f, edges)
+}
+
+// BuildNaive constructs G_f(links) by exact pairwise testing (O(n²)) with
+// Conflicting — the strength-free oracle the builds are checked against. The
 // double loop discovers edges in lexicographic (i, j) order, so the CSR
-// scatter emits both directions of every row already ascending with no
-// sorting pass.
+// scatter emits every row already ascending with no sorting pass. The result
+// has no Strengths, so FilterCtx refuses it.
 func BuildNaive(links []geom.Link, f Func) *Graph {
 	n := len(links)
 	var edges []edge
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if Conflicting(f, links[i], links[j]) {
-				edges = append(edges, edge{int32(i), int32(j)})
+				edges = append(edges, edge{i: int32(i), j: int32(j)})
 			}
 		}
 	}
-	return fromEdges(links, f, edges, nil, false)
+	g := fromEdges(links, f, edges)
+	g.Strengths = nil
+	return g
 }
 
 // classGrid indexes the link endpoints of one dyadic length class, in a
@@ -480,18 +508,6 @@ func getEdgeBuf() *[]edge {
 	return new([]edge)
 }
 
-// strengthBufPool recycles the per-worker strength buffers of annotated
-// builds, mirroring edgeBufPool entry for entry.
-var strengthBufPool sync.Pool
-
-func getStrengthBuf() *[]float64 {
-	if p, ok := strengthBufPool.Get().(*[]float64); ok {
-		*p = (*p)[:0]
-		return p
-	}
-	return new([]float64)
-}
-
 // mortonOrder returns the link indices sorted by the Morton (Z-order) code
 // of each link midpoint over the instance bounding box, ties broken by
 // original index. The build relabels links into this order so that spatially
@@ -561,11 +577,8 @@ func interleave16(v uint64) uint64 {
 // lengths, or a non-positive threshold function value), signalling BuildCtx
 // to fall back, and (nil, ctx.Err()) when the search was cancelled.
 //
-// When h is non-nil the build is strength-annotated: f must be fam.At(gm)
-// for a Family with factor h, the pair test computes the threshold as
-// lmin·(gm·h(x)) — the exact expression Family.At's contract makes f.Eval
-// compute — and every accepted edge additionally gets its conflict strength
-// (see strengthOf), emitted into Graph.Strengths.
+// Every accepted edge carries its conflict strength (see strengthOf) into
+// Graph.Strengths.
 //
 // Correctness sketch: links are partitioned into dyadic length classes
 // [b_c, b_{c+1}) by comparison against precomputed boundaries, so class
@@ -575,11 +588,11 @@ func interleave16(v uint64) uint64 {
 // for higher classes, where m_c, n_c are the actual max/min lengths stored
 // per class. Scanning every grid cell intersecting the disks of that radius
 // around both endpoints of i therefore yields a candidate superset; the
-// exact Conflicting test then reproduces the naive edge set. Each edge is
+// exact pair test (scanCell) then reproduces the naive edge set. Each edge is
 // discovered exactly once, owned by the lower-class (ties: lower-index)
 // endpoint, collected into per-worker flat edge buffers, and scattered into
 // the CSR arrays in one counting pass — no per-vertex slices anywhere.
-func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float64) float64, gm float64) (*Graph, error) {
+func buildBucketed(ctx context.Context, links []geom.Link, f Func) (*Graph, error) {
 	n := len(links)
 	lens := make([]float64, n)
 	lmin, lmax := math.Inf(1), 0.0
@@ -782,8 +795,8 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 	}
 
 	bs := &bucketedSearch{
-		lens: lens, class: class, grids: grids, f: f, fConst: f.Const,
-		h: h, gm: gm, orig: orig, maxAbs: maxAbs,
+		lens: lens, class: class, grids: grids, f: f,
+		orig: orig, maxAbs: maxAbs,
 		sx: sxs, sy: sys, rx: rxs, ry: rys,
 	}
 
@@ -793,14 +806,10 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 	// shared pool (returned once the CSR scatter has consumed it).
 	var mu sync.Mutex
 	var bufs []*[]edge
-	var qbufs []*[]float64 // index-aligned with bufs when annotating
 	var stats BuildStats
 	defer func() {
 		for _, b := range bufs {
 			edgeBufPool.Put(b)
-		}
-		for _, b := range qbufs {
-			strengthBufPool.Put(b)
 		}
 	}()
 	err := par.ForBlocksCtx(ctx, n, 64, func(next func() (int, int, bool)) {
@@ -810,12 +819,6 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 		}
 		bufp := getEdgeBuf()
 		buf := *bufp
-		var qbufp *[]float64
-		var qbuf []float64
-		if h != nil {
-			qbufp = getStrengthBuf()
-			qbuf = *qbufp
-		}
 		// One-shot buffer reservation: at large sizes append grows slices by
 		// only ~1.25×, so accumulating tens of millions of edges through the
 		// default growth path allocates (and discards) several times the
@@ -828,11 +831,7 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 		var wst BuildStats
 		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
 			for i := lo; i < hi; i++ {
-				if h != nil {
-					bs.searchLink(int32(i), stamp, &buf, &qbuf, &wst)
-				} else {
-					bs.searchLink(int32(i), stamp, &buf, nil, &wst)
-				}
+				bs.searchLink(int32(i), stamp, &buf, &wst)
 			}
 			seen += hi - lo
 			if !grown && seen >= share/16 && seen >= 4096 && len(buf) > 0 {
@@ -842,21 +841,12 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 					nb := make([]edge, len(buf), proj)
 					copy(nb, buf)
 					buf = nb
-					if h != nil {
-						nq := make([]float64, len(qbuf), proj)
-						copy(nq, qbuf)
-						qbuf = nq
-					}
 				}
 			}
 		}
 		*bufp = buf
 		mu.Lock()
 		bufs = append(bufs, bufp)
-		if qbufp != nil {
-			*qbufp = qbuf
-			qbufs = append(qbufs, qbufp)
-		}
 		stats.Add(wst)
 		mu.Unlock()
 	})
@@ -864,12 +854,8 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 		return nil, err
 	}
 	var edges []edge
-	var qs []float64
 	if len(bufs) == 1 {
 		edges = *bufs[0]
-		if h != nil {
-			qs = *qbufs[0]
-		}
 	} else {
 		total := 0
 		for _, b := range bufs {
@@ -886,28 +872,9 @@ func buildBucketed(ctx context.Context, links []geom.Link, f Func, h func(float6
 		*mergep = merge
 		bufs = append(bufs, mergep)
 		edges = merge
-		if h != nil {
-			// Strength buffers merge in the same worker order, keeping qs
-			// aligned with edges entry for entry.
-			qmergep := getStrengthBuf()
-			qmerge := *qmergep
-			if cap(qmerge) < total {
-				qmerge = make([]float64, 0, total)
-			}
-			for _, b := range qbufs {
-				qmerge = append(qmerge, *b...)
-			}
-			*qmergep = qmerge
-			qbufs = append(qbufs, qmergep)
-			qs = qmerge
-		}
 	}
-	if h != nil && qs == nil {
-		// Zero accepted edges: pooled buffers stay nil, but an annotated
-		// build must still mark the graph filterable (non-nil Strengths).
-		qs = []float64{}
-	}
-	g := fromEdges(links, f, edges, qs, true)
+	g := fromEdges(links, f, edges)
+	sortRows(g)
 	g.Stats = stats
 	return g, nil
 }
@@ -922,9 +889,6 @@ type bucketedSearch struct {
 	class          []int
 	grids          []*classGrid
 	f              Func
-	fConst         float64 // Func.Const: > 0 ⟹ skip the Eval closure per pair
-	h              func(x float64) float64
-	gm             float64 // build γ of a strength-annotated search (h != nil)
 	orig           []int32
 	maxAbs         float64 // largest coordinate magnitude; scales the prune slack
 	sx, sy, rx, ry []float64
@@ -959,10 +923,9 @@ func cellNear(cx, cy int64, s, rp2, sx, sy, rx, ry float64) bool {
 	return dx*dx+dy*dy <= rp2
 }
 
-// searchLink appends to *out every edge (i, j) that link i owns; when qout
-// is non-nil, each edge's conflict strength is appended to *qout in lockstep.
-// st accumulates the worker's pruning counters.
-func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[]float64, st *BuildStats) {
+// searchLink appends to *out every edge (i, j) that link i owns, with its
+// conflict strength. st accumulates the worker's pruning counters.
+func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, st *BuildStats) {
 	li := b.lens[i]
 	ci := b.class[i]
 	isx, isy := b.sx[i], b.sy[i]
@@ -974,7 +937,7 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 		}
 		// Radius bound; see buildBucketed. The 1e-9 relative pad absorbs
 		// the few-ulp slop between this bound and the exact threshold
-		// computed inside Conflicting.
+		// computed inside scanCell.
 		var x float64
 		if c == ci {
 			x = cg.maxL / cg.minL
@@ -1017,7 +980,7 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 				if !cellNear(kx, ky, s, rp2, isx, isy, irx, iry) {
 					continue
 				}
-				b.scanSlot(i, ci == c, li, cg, sl, stamp, out, qout, st)
+				b.scanSlot(i, ci == c, li, cg, sl, stamp, out, st)
 			}
 			continue
 		}
@@ -1030,7 +993,7 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 				if sl < 0 {
 					continue
 				}
-				b.scanSlot(i, ci == c, li, cg, sl, stamp, out, qout, st)
+				b.scanSlot(i, ci == c, li, cg, sl, stamp, out, st)
 			}
 		}
 	}
@@ -1043,8 +1006,8 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 //  1. Tightened radius. The class-level radius bounds every pair threshold
 //     through the class-wide length extremes; replaying the same monotone
 //     argument over the cell's own member-length extremes (gathered at
-//     freeze time) gives a radius that is never larger — for G_γ a cell of
-//     short same-class members shrinks it to cMaxL·γ.
+//     freeze time) gives a radius that is never larger — for G_γ (h ≡ 1) a
+//     cell of short same-class members shrinks it to cMaxL·γ.
 //  2. Endpoint-bbox rect distance. A conflicting candidate j has an in-cell
 //     endpoint q with |pq| ≤ thr ≤ rc for some endpoint p of i, and q lies
 //     in the cell's stored-endpoint bounding box, so a cell whose bbox is
@@ -1055,17 +1018,11 @@ func (b *bucketedSearch) searchLink(i int32, stamp []int32, out *[]edge, qout *[
 // The surviving cell's members are then distance-tested against rc² instead
 // of the class radius, tightening the per-candidate reject as well.
 func (b *bucketedSearch) scanSlot(i int32, sameClass bool, li float64, cg *classGrid, sl int,
-	stamp []int32, out *[]edge, qout *[]float64, st *BuildStats) {
+	stamp []int32, out *[]edge, st *BuildStats) {
 	ic := cg.cellIdx[sl]
 	cmax := cg.cMaxL[ic]
 	var rc float64
-	if b.fConst > 0 {
-		m := li
-		if sameClass && cmax < li {
-			m = cmax
-		}
-		rc = m * b.fConst * (1 + 1e-9)
-	} else if sameClass {
+	if sameClass {
 		lo := math.Min(li, cg.cMinL[ic])
 		hi := math.Max(li, cmax)
 		rc = math.Min(li, cmax) * b.f.Eval(hi/lo) * (1 + 1e-9)
@@ -1090,22 +1047,17 @@ func (b *bucketedSearch) scanSlot(i int32, sameClass bool, li float64, cg *class
 		}
 	}
 	st.CellsScanned++
-	b.scanCell(i, sameClass, rc*rc, cg, cg.start[sl], cg.start[sl+1], stamp, out, qout, st)
+	b.scanCell(i, sameClass, rc*rc, cg, cg.start[sl], cg.start[sl+1], stamp, out, st)
 }
 
 // scanCell runs the exact conflict test against every candidate in one grid
-// cell, recording the edges link i owns. Candidate coordinates and lengths
-// stream from the cell-local SoA mirror (one contiguous block per cell — no
-// gather-loads through members), and for constant f (G_γ) the threshold
-// skips the Eval closure; the arithmetic — min over the four endpoint
-// squared distances against (l_min·f(l_max/l_min))² — is
-// expression-identical to conflictingLens, so the edge set matches
-// BuildNaive bit-for-bit.
-//
-// A strength-annotated search (qout non-nil) computes the threshold through
-// the family factor h instead of f.Eval — lmin·(gm·h(x)), the identical
-// floating-point expression by Family.At's contract — and appends each
-// accepted edge's strength.
+// cell, recording the edges link i owns with their strengths. Candidate
+// coordinates and lengths stream from the cell-local SoA mirror (one
+// contiguous block per cell — no gather-loads through members), and for
+// h ≡ 1 (nil H, G_γ) the threshold skips the H call; the arithmetic — min
+// over the four endpoint squared distances against (l_min·(γ·h(x)))² — is
+// expression-identical to Conflicting, so the edge set matches BuildNaive
+// bit-for-bit.
 //
 // The loop is ordered cheapest-reject-first: the squared distance (pure SoA
 // loads and arithmetic) is compared against rr — the squared padded
@@ -1116,7 +1068,8 @@ func (b *bucketedSearch) scanSlot(i int32, sameClass bool, li float64, cg *class
 // cells is simply tested twice; the stamp still deduplicates the emitted
 // edge.
 func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
-	cg *classGrid, mlo, mhi int32, stamp []int32, out *[]edge, qout *[]float64, st *BuildStats) {
+	cg *classGrid, mlo, mhi int32, stamp []int32, out *[]edge, st *BuildStats) {
+	f := b.f
 	li := b.lens[i]
 	isx, isy := b.sx[i], b.sy[i]
 	irx, iry := b.rx[i], b.ry[i]
@@ -1154,26 +1107,15 @@ func (b *bucketedSearch) scanCell(i int32, sameClass bool, rr float64,
 		if lmin > lmax {
 			lmin, lmax = lmax, lmin
 		}
-		var thr, hx float64
-		if b.fConst > 0 {
-			thr = lmin * b.fConst
-			hx = 1
-		} else if qout != nil {
-			hx = b.h(lmax / lmin)
-			thr = lmin * (b.gm * hx)
-		} else {
-			thr = lmin * b.f.Eval(lmax/lmin)
-		}
+		hx := f.hAt(lmax / lmin)
+		thr := lmin * (f.Gamma * hx)
 		if d <= thr*thr {
 			if stamp[j] == i {
 				continue
 			}
 			stamp[j] = i
 			st.CandAccepted++
-			*out = append(*out, edge{b.orig[i], b.orig[j]})
-			if qout != nil {
-				*qout = append(*qout, strengthOf(d, lmin, hx, b.gm))
-			}
+			*out = append(*out, edge{b.orig[i], b.orig[j], strengthOf(d, lmin, hx, f.Gamma)})
 		}
 	}
 }

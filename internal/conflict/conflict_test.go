@@ -3,6 +3,7 @@ package conflict
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // build: Background never cancels, so the error leg is dead and the old
 // nil-means-fallback contract is preserved for the parity suites.
 func buildBucketedBG(links []geom.Link, f Func) *Graph {
-	g, _ := buildBucketed(context.Background(), links, f, nil, 0)
+	g, _ := buildBucketed(context.Background(), links, f)
 	return g
 }
 
@@ -86,8 +87,9 @@ func graphsEqual(t *testing.T, want, got *Graph, label string) {
 
 // TestBucketedMatchesNaive is the acceptance property: the grid-bucketed
 // parallel Build must produce an edge set identical (including adjacency
-// order) to the exhaustive O(n²) reference, across conflict functions and
-// both homogeneous and diversity-heavy instances.
+// order) to the exhaustive O(n²) reference, and strengths identical to the
+// pairwise scan's, across conflict functions and both homogeneous and
+// diversity-heavy instances.
 func TestBucketedMatchesNaive(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -106,6 +108,11 @@ func TestBucketedMatchesNaive(t *testing.T) {
 				t.Fatalf("%s/%s: bucketed build fell back unexpectedly", tc.name, f.Name)
 			}
 			graphsEqual(t, naive, bucketed, tc.name+"/"+f.Name)
+			// The pairwise scan (Build's small-n path) annotates the same
+			// strengths as the bucketed search.
+			if !slices.Equal(buildPairwise(tc.links, f).Strengths, bucketed.Strengths) {
+				t.Fatalf("%s/%s: bucketed strengths differ from the pairwise scan's", tc.name, f.Name)
+			}
 		}
 	}
 }
@@ -211,6 +218,7 @@ func TestBucketedFasterAt10k(t *testing.T) {
 }
 
 func BenchmarkBuildBucketed10k(b *testing.B) {
+	b.ReportAllocs()
 	links := mstLinks(b, 10_000, 9, 10_000)
 	f := PowerLaw(2, 0.5)
 	b.ResetTimer()
@@ -222,6 +230,7 @@ func BenchmarkBuildBucketed10k(b *testing.B) {
 }
 
 func BenchmarkBuildNaive10k(b *testing.B) {
+	b.ReportAllocs()
 	links := mstLinks(b, 10_000, 9, 10_000)
 	f := PowerLaw(2, 0.5)
 	b.ResetTimer()
@@ -237,6 +246,7 @@ func BenchmarkBuildNaive10k(b *testing.B) {
 // the cells-pruned and candidates-per-edge trajectories are visible in the
 // CI bench-smoke artifact next to the ns/op.
 func BenchmarkScanCell(b *testing.B) {
+	b.ReportAllocs()
 	links := mstLinks(b, 20_000, 9, 20_000)
 	f := PowerLaw(2, 0.5)
 	b.ResetTimer()
@@ -254,6 +264,7 @@ func BenchmarkScanCell(b *testing.B) {
 }
 
 func BenchmarkBuildBucketed50k(b *testing.B) {
+	b.ReportAllocs()
 	links := mstLinks(b, 50_000, 9, 30_000)
 	f := PowerLaw(2, 0.5)
 	b.ResetTimer()

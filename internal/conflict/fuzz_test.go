@@ -54,7 +54,7 @@ func fuzzFuncs() []Func {
 		Gamma(2),
 		PowerLaw(2, 0.5),
 		LogThreshold(2, 2.05),
-		{Name: "protocol(2)", Eval: func(x float64) float64 { return 2 * x }},
+		{Name: "protocol", Gamma: 2, H: func(x float64) float64 { return x }},
 	}
 }
 

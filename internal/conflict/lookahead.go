@@ -1,11 +1,12 @@
-// γ-lookahead conflict builds: every threshold family of the paper factors
-// as f_γ(x) = γ·h(x) (Gamma: h ≡ 1; PowerLaw: h = x^δ; LogThreshold:
-// h = max{1, log₂^{2/(α-2)} x}; the protocol model: h = x), so the conflict
-// predicate d(i,j)² ≤ (l_min·f_γ(l_max/l_min))² is monotone in γ and every
-// pair has a well-defined conflict *strength* — the smallest γ at which it
-// conflicts. One strength-annotated build at an escalated γ therefore serves
-// every smaller γ of an escalation ladder as a linear filter scan over the
-// CSR arrays, instead of a full grid rebuild per attempt.
+// Conflict strengths and the γ-lookahead cache. Every threshold of the
+// paper factors as f_γ(x) = γ·h(x) (Gamma: h ≡ 1; PowerLaw: h = x^δ;
+// LogThreshold: h = max{1, log₂^{2/(α-2)} x}; the protocol model: h = x), so
+// the conflict predicate d(i,j)² ≤ (l_min·f_γ(l_max/l_min))² is monotone in γ
+// and every pair has a well-defined conflict *strength* — the smallest γ at
+// which it conflicts. Build records it per edge, so one build at an
+// escalated γ serves every smaller γ of an escalation ladder as a linear
+// filter scan over the CSR arrays, instead of a full grid rebuild per
+// attempt.
 //
 // Exactness is preserved bit-for-bit: strengthOf computes the smallest
 // float64 γ at which the build's own floating-point predicate flips to
@@ -27,61 +28,9 @@ import (
 	"aggrate/internal/par"
 )
 
-// Family is a γ-indexed conflict-threshold family f_γ(x) = γ·h(x).
-//
-// Contract (what makes lookahead filtering bit-exact): At(γ) must return a
-// Func whose Eval(x) computes the floating-point expression γ*H(x) — one
-// multiplication of γ against the exact value H returns, rounding included —
-// and whose Const, when set, equals γ (only legal when H ≡ 1). H must be
-// positive and non-decreasing on [1, ∞), like Func.Eval. The constructors
-// below pair each Func constructor with its factored form and keep the two
-// in lockstep.
-type Family struct {
-	Name string
-	// H is the γ-free factor h(x).
-	H func(x float64) float64
-	// At materializes f_γ.
-	At func(gamma float64) Func
-}
-
-// GammaFamily is the factored form of Gamma: f_γ ≡ γ, h ≡ 1.
-func GammaFamily() Family {
-	return Family{
-		Name: "G_gamma",
-		H:    func(float64) float64 { return 1 },
-		At:   Gamma,
-	}
-}
-
-// PowerLawFamily is the factored form of PowerLaw: f_γ(x) = γ·x^δ. H shares
-// PowerLaw's δ = ½ Sqrt fast path (see powFunc), keeping the two bit-equal.
-func PowerLawFamily(delta float64) Family {
-	return Family{
-		Name: fmt.Sprintf("G_obl(%g)", delta),
-		H:    powFunc(delta),
-		At:   func(gamma float64) Func { return PowerLaw(gamma, delta) },
-	}
-}
-
-// LogThresholdFamily is the factored form of LogThreshold:
-// f_γ(x) = γ·max{1, log₂^{2/(α-2)} x}.
-func LogThresholdFamily(alpha float64) Family {
-	exp := 2 / (alpha - 2)
-	return Family{
-		Name: fmt.Sprintf("G_arb(alpha=%g)", alpha),
-		H: func(x float64) float64 {
-			if x <= 2 {
-				return 1
-			}
-			return math.Max(1, math.Pow(math.Log2(x), exp))
-		},
-		At: func(gamma float64) Func { return LogThreshold(gamma, alpha) },
-	}
-}
-
 // strengthOf returns the conflict strength of a pair: the smallest float64
-// q for which the build predicate d² ≤ (l_min·(q·h))² holds. Filtering an
-// annotated graph by strength ≤ γ is then exactly the direct build's pair
+// q for which the build predicate d² ≤ (l_min·(q·h))² holds. Filtering a
+// built graph by strength ≤ γ is then exactly the direct build's pair
 // test at γ: the predicate is weakly monotone in q (each floating-point
 // operation is weakly monotone, and squaring a non-negative threshold
 // preserves that), so it is false strictly below the returned value and
@@ -141,89 +90,25 @@ func strengthOf(d2, lmin, h, buildGamma float64) float64 {
 	return math.Float64frombits(hb)
 }
 
-// BuildLookahead is BuildLookaheadCtx with a background context.
-func BuildLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
-	g, _ := BuildLookaheadCtx(context.Background(), links, fam, gamma)
-	return g
-}
-
-// BuildLookaheadCtx constructs G_{f_γ}(links) for f = fam.At(gamma) with
-// Graph.Strengths populated: the same CSR arrays (same edge set, same sorted
-// row order) as BuildCtx(ctx, links, fam.At(gamma)), plus one conflict
-// strength per directed entry. FilterCtx then materializes the graph at any
-// smaller γ without another build. Cancellation matches BuildCtx.
-func BuildLookaheadCtx(ctx context.Context, links []geom.Link, fam Family, gamma float64) (*Graph, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	f := fam.At(gamma)
-	if len(links) <= naiveCutoff {
-		return buildNaiveLookahead(links, fam, gamma), nil
-	}
-	g, err := buildBucketed(ctx, links, f, fam.H, gamma)
-	if err != nil {
-		return nil, err
-	}
-	if g != nil {
-		return g, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return buildNaiveLookahead(links, fam, gamma), nil
-}
-
-// buildNaiveLookahead is the strength-annotated analogue of BuildNaive: the
-// exact O(n²) pairwise scan, with the pair test phrased through the family
-// factor (bit-identical to Conflicting at fam.At(gamma) by Family.At's
-// contract) and a strength per accepted edge. Degenerate pairs with
-// l_min ≤ 0 conflict at every γ and get strength 0.
-func buildNaiveLookahead(links []geom.Link, fam Family, gamma float64) *Graph {
-	n := len(links)
-	f := fam.At(gamma)
-	var edges []edge
-	qs := []float64{} // non-nil even when edgeless: marks the graph filterable
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			lmin, lmax := geom.MinMaxLen(links[i], links[j])
-			if lmin <= 0 {
-				edges = append(edges, edge{int32(i), int32(j)})
-				qs = append(qs, 0)
-				continue
-			}
-			hx := fam.H(lmax / lmin)
-			thr := lmin * (gamma * hx)
-			d2 := geom.LinkDist2(links[i], links[j])
-			if d2 <= thr*thr {
-				edges = append(edges, edge{int32(i), int32(j)})
-				qs = append(qs, strengthOf(d2, lmin, hx, gamma))
-			}
-		}
-	}
-	return fromEdges(links, f, edges, qs, false)
-}
-
-// FilterCtx materializes the conflict graph at a smaller γ from a
-// strength-annotated graph: one linear scan over the CSR arrays keeping the
-// directed entries with strength ≤ gamma. Row order is preserved (a
-// subsequence of sorted rows stays sorted), so the result is bit-identical —
-// edges, CSR row order, Strengths annotation — to a strength-annotated
-// build at gamma, and its RowPtr/Neighbors match a plain Build at f. f
-// should be the family's Func at gamma; it becomes the result's F.
+// FilterCtx materializes the conflict graph at a smaller γ from a built
+// graph: one linear scan over the CSR arrays keeping the directed entries
+// with strength ≤ gamma. Row order is preserved (a subsequence of sorted
+// rows stays sorted), so the result is bit-identical — edges, CSR row
+// order, Strengths — to Build at g.F.At(gamma), which becomes its F.
 //
 // Cancellation: ctx is checked at row-block boundaries during both the
 // counting and the scatter pass; on cancellation FilterCtx returns
 // (nil, ctx.Err()) and never a partially-filtered graph.
-func (g *Graph) FilterCtx(ctx context.Context, f Func, gamma float64) (*Graph, error) {
+func (g *Graph) FilterCtx(ctx context.Context, gamma float64) (*Graph, error) {
 	if g.Strengths == nil {
-		return nil, fmt.Errorf("conflict: FilterCtx on a graph without strengths (not a lookahead build)")
+		return nil, fmt.Errorf("conflict: FilterCtx on a graph without strengths (not from Build)")
 	}
 	n := g.N()
 	out := &Graph{
 		Links:  g.Links, // shared: both graphs treat Links as immutable
-		F:      f,
+		F:      g.F.At(gamma),
 		RowPtr: make([]int32, n+1),
-		Stats:  g.Stats, // the annotated build's pruning counters carry over
+		Stats:  g.Stats, // the build's pruning counters carry over
 	}
 	// Counting pass: per-row surviving-entry counts, written into
 	// RowPtr[i+1] so the prefix sum below finalizes the offsets.
@@ -270,13 +155,13 @@ func (g *Graph) FilterCtx(ctx context.Context, f Func, gamma float64) (*Graph, e
 }
 
 // Lookahead amortizes conflict-graph construction across a γ-escalation
-// ladder: the first request for a link set pays one strength-annotated build
-// at the lookahead γ (GammaMax), and every request at a γ at or below it —
-// including later escalation attempts on the same links — is served by a
-// linear filter scan (or, at GammaMax itself, by the annotated build
-// directly). Builds are cached per link-set content, so the lengthclass
-// strategy's per-class graphs each get their own annotated build and reuse
-// it across attempts even though the class slices are reallocated per call.
+// ladder: the first request for a link set pays one Build at the lookahead γ
+// (GammaMax), and every request at a γ at or below it — including later
+// escalation attempts on the same links — is served by a linear filter scan
+// (or, at GammaMax itself, by the build directly). Builds are cached per
+// link-set content, so the lengthclass strategy's per-class graphs each get
+// their own build and reuse it across attempts even though the class slices
+// are reallocated per call.
 //
 // A Lookahead is safe for concurrent use; builds and filters run under an
 // internal lock, so concurrent callers serialize (the intended use is one
@@ -288,7 +173,7 @@ type Lookahead struct {
 }
 
 type lookaheadKey struct {
-	family string
+	family string // Func.Name: γ-free, so every rung of a ladder shares it
 	links  uint64 // content hash; collisions are re-verified element-wise
 }
 
@@ -305,33 +190,33 @@ func (la *Lookahead) GammaMax() float64 { return la.gammaMax }
 // LookaheadStats reports how one GraphFor call split its work, for the
 // build_sec/build_filter_sec/build_reused diagnostics.
 type LookaheadStats struct {
-	// BuildSec is the wall-clock of a full annotated (or fallback direct)
-	// build; zero when the call was served from the cache.
+	// BuildSec is the wall-clock of a full build; zero when the call was
+	// served from the cache.
 	BuildSec float64
 	// FilterSec is everything else: link-set hashing, cache lookup, and the
 	// filter scan.
 	FilterSec float64
 	// Reused reports that the conflict graph came from a filter scan over a
-	// previously built strength-annotated graph.
+	// previously built graph.
 	Reused bool
 }
 
-// GraphFor returns the conflict graph of links under fam.At(gamma),
-// bit-identical to conflict.BuildCtx(ctx, links, fam.At(gamma)). The first
-// call per link set builds once at GammaMax with strengths; subsequent
-// calls (any γ ≤ GammaMax) filter.
-func (la *Lookahead) GraphFor(ctx context.Context, links []geom.Link, fam Family, gamma float64) (*Graph, LookaheadStats, error) {
+// GraphFor returns the conflict graph of links under f.At(gamma),
+// bit-identical to BuildCtx(ctx, links, f.At(gamma)); f's own Gamma is
+// ignored. The first call per (f.Name, link set) builds once at GammaMax;
+// subsequent calls (any γ ≤ GammaMax) filter.
+func (la *Lookahead) GraphFor(ctx context.Context, links []geom.Link, f Func, gamma float64) (*Graph, LookaheadStats, error) {
 	var st LookaheadStats
 	t0 := time.Now()
 	if gamma > la.gammaMax {
 		// Out of coverage: a direct build is always correct.
-		g, err := BuildCtx(ctx, links, fam.At(gamma))
+		g, err := BuildCtx(ctx, links, f.At(gamma))
 		st.BuildSec = time.Since(t0).Seconds()
 		return g, st, err
 	}
 	la.mu.Lock()
 	defer la.mu.Unlock()
-	key := lookaheadKey{family: fam.Name, links: linksHash(links)}
+	key := lookaheadKey{family: f.Name, links: linksHash(links)}
 	full := la.entries[key]
 	if full != nil && !linksEqual(full.Links, links) {
 		full = nil // hash collision: rebuild rather than serve the wrong graph
@@ -339,7 +224,7 @@ func (la *Lookahead) GraphFor(ctx context.Context, links []geom.Link, fam Family
 	if full == nil {
 		tb := time.Now()
 		var err error
-		full, err = BuildLookaheadCtx(ctx, links, fam, la.gammaMax)
+		full, err = BuildCtx(ctx, links, f.At(la.gammaMax))
 		st.BuildSec = time.Since(tb).Seconds()
 		if err != nil {
 			return nil, st, err
@@ -350,10 +235,10 @@ func (la *Lookahead) GraphFor(ctx context.Context, links []geom.Link, fam Family
 	}
 	var g *Graph
 	if gamma == la.gammaMax {
-		g = full // the annotated build is the direct build at the top rung
+		g = full // the build at the top rung is the graph itself
 	} else {
 		var err error
-		g, err = full.FilterCtx(ctx, fam.At(gamma), gamma)
+		g, err = full.FilterCtx(ctx, gamma)
 		if err != nil {
 			st.FilterSec = time.Since(t0).Seconds() - st.BuildSec
 			return nil, st, err

@@ -3,6 +3,7 @@ package conflict
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"aggrate/internal/geom"
@@ -33,14 +34,14 @@ func clusterLinks(t testing.TB, n int, seed uint64) []geom.Link {
 	return tree.Links
 }
 
-// lookaheadFamilies are the three threshold families of the paper in
-// factored (γ, h) form, with the arbitrary-power graph at the pathological
-// α=2.05 (exponent 40).
-func lookaheadFamilies() []Family {
-	return []Family{
-		GammaFamily(),
-		PowerLawFamily(0.5),
-		LogThresholdFamily(2.05),
+// lookaheadFuncs are the three threshold families of the paper, with the
+// arbitrary-power graph at the pathological α=2.05 (exponent 40). Their γ is
+// a placeholder: every use re-indexes them with At.
+func lookaheadFuncs() []Func {
+	return []Func{
+		Gamma(1),
+		PowerLaw(1, 0.5),
+		LogThreshold(1, 2.05),
 	}
 }
 
@@ -84,13 +85,11 @@ func sameEdgeSet(t *testing.T, want, got *Graph, label string) {
 	}
 }
 
-// TestLookaheadMatchesBuild is the tentpole's parity wall: one
-// strength-annotated build at the escalation ceiling, filtered down to every
-// ladder rung, must be bit-identical — edge set, CSR row order — to a direct
-// Build at that rung, for all three threshold families over uniform, cluster,
-// and annulus geometry. The smallest case additionally checks the filtered
-// graph against the O(n²) BuildNaive oracle, so the property does not rest
-// on Build alone.
+// TestLookaheadMatchesBuild is the filter's parity wall: one build at the
+// escalation ceiling, filtered down to every ladder rung, must be
+// bit-identical — edge set, CSR row order, strengths — to a direct Build at
+// that rung, and match the O(n²) BuildNaive oracle's rows, for all three
+// threshold families over uniform, cluster, and annulus geometry.
 func TestLookaheadMatchesBuild(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -103,29 +102,35 @@ func TestLookaheadMatchesBuild(t *testing.T) {
 	ladder := escalationLadder(0.8, 1.5, 4)
 	gammaMax := ladder[len(ladder)-1]
 	for _, tc := range cases {
-		for _, fam := range lookaheadFamilies() {
-			full, err := BuildLookaheadCtx(context.Background(), tc.links, fam, gammaMax)
+		for _, fam := range lookaheadFuncs() {
+			full, err := BuildCtx(context.Background(), tc.links, fam.At(gammaMax))
 			if err != nil {
-				t.Fatalf("%s/%s: BuildLookaheadCtx: %v", tc.name, fam.Name, err)
+				t.Fatalf("%s/%s: BuildCtx: %v", tc.name, fam.Name, err)
 			}
 			if full.Strengths == nil || len(full.Strengths) != len(full.Neighbors) {
 				t.Fatalf("%s/%s: Strengths not parallel to Neighbors: %d vs %d",
 					tc.name, fam.Name, len(full.Strengths), len(full.Neighbors))
 			}
-			// The annotated build at the ceiling IS the direct build there.
-			graphsEqual(t, Build(tc.links, fam.At(gammaMax)), full, tc.name+"/"+fam.Name+"/top")
 			for _, gamma := range ladder {
 				f := fam.At(gamma)
-				filtered, err := full.FilterCtx(context.Background(), f, gamma)
+				filtered, err := full.FilterCtx(context.Background(), gamma)
 				if err != nil {
 					t.Fatalf("%s/%s γ=%g: FilterCtx: %v", tc.name, fam.Name, gamma, err)
+				}
+				if filtered.F.Gamma != gamma || filtered.F.Name != fam.Name {
+					t.Fatalf("%s/%s γ=%g: filtered F = %s at γ=%g", tc.name, fam.Name, gamma,
+						filtered.F.Name, filtered.F.Gamma)
 				}
 				direct := Build(tc.links, f)
 				label := tc.name + "/" + fam.Name
 				graphsEqual(t, direct, filtered, label)
+				if !slices.Equal(direct.Strengths, filtered.Strengths) {
+					t.Fatalf("%s γ=%g: filtered strengths differ from the direct build's", label, gamma)
+				}
+				naive := BuildNaive(tc.links, f)
+				graphsEqual(t, naive, filtered, label+"/naive-oracle")
 				if tc.name == "cluster-400" {
-					naive := BuildNaive(tc.links, f)
-					sameEdgeSet(t, naive, filtered, label+"/naive-oracle")
+					sameEdgeSet(t, naive, filtered, label+"/naive-edge-set")
 				}
 			}
 		}
@@ -139,10 +144,10 @@ func TestLookaheadMatchesBuild(t *testing.T) {
 // "filter by q ≤ γ" reproduce the direct build at every γ.
 func TestStrengthIsExactBoundary(t *testing.T) {
 	links := annulusLinks(t, 300, 24)
-	for _, fam := range lookaheadFamilies() {
-		full, err := BuildLookaheadCtx(context.Background(), links, fam, 8)
+	for _, fam := range lookaheadFuncs() {
+		full, err := BuildCtx(context.Background(), links, fam.At(8))
 		if err != nil {
-			t.Fatalf("%s: BuildLookaheadCtx: %v", fam.Name, err)
+			t.Fatalf("%s: BuildCtx: %v", fam.Name, err)
 		}
 		checked := 0
 		for i := 0; i < full.N(); i++ {
@@ -181,7 +186,7 @@ func TestStrengthIsExactBoundary(t *testing.T) {
 func TestLookaheadGraphFor(t *testing.T) {
 	links := mstLinks(t, 400, 25, 1000)
 	other := mstLinks(t, 400, 26, 1000)
-	fam := GammaFamily()
+	fam := Gamma(1)
 	ladder := escalationLadder(1, 1.5, 2)
 	la := NewLookahead(ladder[len(ladder)-1])
 
@@ -230,34 +235,35 @@ func TestLookaheadGraphFor(t *testing.T) {
 // the filter scan, never as a partially filtered graph.
 func TestFilterCtxCancel(t *testing.T) {
 	links := mstLinks(t, 2000, 27, 1000)
-	fam := GammaFamily()
-	full, err := BuildLookaheadCtx(context.Background(), links, fam, 4)
+	fam := Gamma(1)
+	full, err := BuildCtx(context.Background(), links, fam.At(4))
 	if err != nil {
-		t.Fatalf("BuildLookaheadCtx: %v", err)
+		t.Fatalf("BuildCtx: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g, err := full.FilterCtx(ctx, fam.At(2), 2)
+	g, err := full.FilterCtx(ctx, 2)
 	if err == nil || g != nil {
 		t.Fatalf("FilterCtx on canceled ctx: got (%v, %v), want (nil, ctx error)", g, err)
 	}
 }
 
-// TestFilterRequiresStrengths: filtering a plain (unannotated) build is a
-// programming error and must fail loudly instead of returning an empty graph.
+// TestFilterRequiresStrengths: filtering a strength-free graph (the
+// BuildNaive oracle) is a programming error and must fail loudly instead of
+// returning an empty graph.
 func TestFilterRequiresStrengths(t *testing.T) {
 	links := mstLinks(t, 200, 28, 1000)
-	g := Build(links, Gamma(2))
-	if _, err := g.FilterCtx(context.Background(), Gamma(1), 1); err == nil {
+	g := BuildNaive(links, Gamma(2))
+	if _, err := g.FilterCtx(context.Background(), 1); err == nil {
 		t.Fatal("FilterCtx on a strength-free graph succeeded; want error")
 	}
 }
 
-// FuzzLookaheadMatchesBuild extends the build-parity fuzz wall to the
-// lookahead path: on adversarial small instances (int8 lattice points, ~23
-// dyadic length classes, α≈2 radii), the graph filtered from one annotated
-// build at the ladder ceiling must match both Build and the O(n²) naive
-// oracle at every ladder rung, for all three factored families.
+// FuzzLookaheadMatchesBuild extends the build-parity fuzz wall to the filter
+// path: on adversarial small instances (int8 lattice points, ~23 dyadic
+// length classes, α≈2 radii), the graph filtered from one build at the
+// ladder ceiling must match both the O(n²) BuildNaive oracle and a direct
+// Build at every ladder rung, for all three threshold families.
 func FuzzLookaheadMatchesBuild(f *testing.F) {
 	f.Add(pathologicalSeed())
 	f.Add([]byte{4, 0, 0, 1, 0, 8, 0, 0, 1, 0, 8, 5, 0, 2, 0, 8, 5, 0, 2, 0, 8})
@@ -269,14 +275,14 @@ func FuzzLookaheadMatchesBuild(f *testing.F) {
 		}
 		ladder := escalationLadder(0.8, 1.5, 3)
 		gammaMax := ladder[len(ladder)-1]
-		for _, fam := range lookaheadFamilies() {
-			full, err := BuildLookaheadCtx(context.Background(), links, fam, gammaMax)
+		for _, fam := range lookaheadFuncs() {
+			full, err := BuildCtx(context.Background(), links, fam.At(gammaMax))
 			if err != nil {
-				t.Fatalf("%s: BuildLookaheadCtx: %v", fam.Name, err)
+				t.Fatalf("%s: BuildCtx: %v", fam.Name, err)
 			}
 			for _, gamma := range ladder {
 				fn := fam.At(gamma)
-				filtered, err := full.FilterCtx(context.Background(), fn, gamma)
+				filtered, err := full.FilterCtx(context.Background(), gamma)
 				if err != nil {
 					t.Fatalf("%s γ=%g: FilterCtx: %v", fam.Name, gamma, err)
 				}
@@ -286,18 +292,15 @@ func FuzzLookaheadMatchesBuild(f *testing.F) {
 						fam.Name, gamma, filtered.Edges(), naive.Edges(), links)
 				}
 				direct := Build(links, fn)
-				for i := 0; i < direct.N(); i++ {
-					wa, ga := direct.Row(i), filtered.Row(i)
-					if len(wa) != len(ga) {
-						t.Fatalf("%s γ=%g: degree of %d differs: direct %v, filtered %v on %v",
-							fam.Name, gamma, i, wa, ga, links)
+				for i := 0; i < naive.N(); i++ {
+					if !slices.Equal(naive.Row(i), filtered.Row(i)) || !slices.Equal(direct.Row(i), filtered.Row(i)) {
+						t.Fatalf("%s γ=%g: adjacency of %d differs: naive %v, direct %v, filtered %v on %v",
+							fam.Name, gamma, i, naive.Row(i), direct.Row(i), filtered.Row(i), links)
 					}
-					for k := range wa {
-						if wa[k] != ga[k] {
-							t.Fatalf("%s γ=%g: adjacency of %d differs at %d: direct %v, filtered %v on %v",
-								fam.Name, gamma, i, k, wa, ga, links)
-						}
-					}
+				}
+				if !slices.Equal(direct.Strengths, filtered.Strengths) {
+					t.Fatalf("%s γ=%g: filtered strengths differ from the direct build's on %v",
+						fam.Name, gamma, links)
 				}
 			}
 		}

@@ -191,6 +191,7 @@ func FuzzEngineMatchesNaive(f *testing.F) {
 func BenchmarkPipeline(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(map[int]string{1000: "n=1e3", 10000: "n=1e4"}[n], func(b *testing.B) {
+			b.ReportAllocs()
 			sc, err := scenario.Lookup("uniform")
 			if err != nil {
 				b.Fatal(err)
@@ -218,6 +219,7 @@ func BenchmarkVerifyEngine(b *testing.B) {
 	}
 	for _, engine := range schedule.Engines() {
 		b.Run(engine, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := inst.VerifySchedule(engine); err != nil {
 					b.Fatal(err)

@@ -560,7 +560,7 @@ func newInstance(ctx context.Context, spec Spec, ws *Workspace, dc *DeployCache)
 	}
 	// Reject unknown graph kinds and verify engines before paying for
 	// generation.
-	if _, err := spec.config(spec.Gamma).ConflictFunc(); err != nil {
+	if _, err := spec.config(spec.Gamma).ConflictFamily(); err != nil {
 		return nil, res, err
 	}
 	if spec.VerifyEngine != schedule.EngineFast && spec.VerifyEngine != schedule.EngineNaive {

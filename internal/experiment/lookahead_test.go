@@ -74,7 +74,7 @@ func TestLookaheadMatchesDirectRun(t *testing.T) {
 	if !inst.Diag.BuildReused {
 		t.Fatal("fixture's final graph did not come from the lookahead")
 	}
-	f, err := inst.Spec.config(inst.GammaUsed).ConflictFunc()
+	f, err := inst.Spec.config(inst.GammaUsed).ConflictFamily()
 	if err != nil {
 		t.Fatal(err)
 	}

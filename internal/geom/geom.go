@@ -216,20 +216,6 @@ func ClosestPair(pts []Point) (int, int, float64) {
 	return bi, bj, math.Sqrt(best)
 }
 
-// Diameter returns the maximum pairwise distance of the pointset, 0 for
-// fewer than two points.
-func Diameter(pts []Point) float64 {
-	hi := 0.0
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if d := pts[i].Dist2(pts[j]); d > hi {
-				hi = d
-			}
-		}
-	}
-	return math.Sqrt(hi)
-}
-
 // BoundingBox returns the axis-aligned bounding box (min corner, max
 // corner) of the pointset. For an empty set it returns two zero points.
 func BoundingBox(pts []Point) (lo, hi Point) {
@@ -244,25 +230,6 @@ func BoundingBox(pts []Point) (lo, hi Point) {
 		hi.Y = math.Max(hi.Y, p.Y)
 	}
 	return lo, hi
-}
-
-// Translate returns a copy of pts with every point shifted by off.
-func Translate(pts []Point, off Point) []Point {
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = p.Add(off)
-	}
-	return out
-}
-
-// ScalePoints returns a copy of pts with every point scaled by s about the
-// origin.
-func ScalePoints(pts []Point, s float64) []Point {
-	out := make([]Point, len(pts))
-	for i, p := range pts {
-		out[i] = p.Scale(s)
-	}
-	return out
 }
 
 // OnLine reports whether all points are collinear with the x-axis

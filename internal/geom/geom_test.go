@@ -60,9 +60,6 @@ func TestPointDiversityAndClosestPair(t *testing.T) {
 	if _, err := PointDiversity([]Point{{X: 1}, {X: 1}}); err == nil {
 		t.Fatal("PointDiversity accepted duplicate points")
 	}
-	if got := Diameter(pts); got != 9 {
-		t.Fatalf("Diameter = %g, want 9", got)
-	}
 }
 
 func TestBoundingBoxTransforms(t *testing.T) {
@@ -70,14 +67,6 @@ func TestBoundingBoxTransforms(t *testing.T) {
 	lo, hi := BoundingBox(pts)
 	if lo != (Point{X: -3, Y: 2}) || hi != (Point{X: 1, Y: 5}) {
 		t.Fatalf("BoundingBox = %v, %v", lo, hi)
-	}
-	moved := Translate(pts, Point{X: 10, Y: 10})
-	if moved[0] != (Point{X: 11, Y: 12}) {
-		t.Fatalf("Translate wrong: %v", moved[0])
-	}
-	scaled := ScalePoints(pts, 2)
-	if scaled[1] != (Point{X: -6, Y: 10}) {
-		t.Fatalf("ScalePoints wrong: %v", scaled[1])
 	}
 	if !OnLine([]Point{{X: 1}, {X: 2}}) || OnLine(pts) {
 		t.Fatal("OnLine misclassifies")

@@ -812,17 +812,6 @@ func NewMSTTreeCtx(ctx context.Context, pts []geom.Point, sink int) (*Tree, erro
 // N returns the number of nodes.
 func (t *Tree) N() int { return len(t.Points) }
 
-// Height returns the maximum depth over all nodes.
-func (t *Tree) Height() int {
-	h := 0
-	for _, d := range t.Depth {
-		if d > h {
-			h = d
-		}
-	}
-	return h
-}
-
 // SubtreeSizes returns, for each node, the number of nodes in its subtree
 // (including itself). The sink's entry equals n.
 func (t *Tree) SubtreeSizes() []int {

@@ -104,12 +104,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle permutes the n elements addressed by swap uniformly at random,
-// in the manner of math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -100,16 +100,3 @@ func TestNormFloat64Moments(t *testing.T) {
 		t.Fatalf("sample variance %g too far from 1", variance)
 	}
 }
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(8)
-	xs := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 21 {
-		t.Fatalf("Shuffle changed elements: %v", xs)
-	}
-}

@@ -87,19 +87,3 @@ func TestVerifySINR(t *testing.T) {
 		t.Fatal("VerifySINR accepted an infeasible slot")
 	}
 }
-
-func TestConcat(t *testing.T) {
-	links := pairLinks()
-	a, _ := FromColoring(links, []int{0, 0})
-	b, _ := FromColoring(links, []int{0, 1})
-	c, err := Concat(a, b)
-	if err != nil || c.Period() != 3 {
-		t.Fatalf("Concat: period=%d err=%v, want 3, nil", c.Period(), err)
-	}
-	if occ := c.Occurrences(); occ[0] != 2 || occ[1] != 2 {
-		t.Fatalf("Concat occurrences = %v, want [2 2]", occ)
-	}
-	if _, err := Concat(a, New(links[:1], [][]int{{0}})); err == nil {
-		t.Fatal("Concat accepted mismatched link sets")
-	}
-}

@@ -335,6 +335,7 @@ func BenchmarkVerifyIncremental(b *testing.B) {
 	p := sinr.DefaultParams()
 	pf := FixedPower(powers)
 	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			vc := NewVerifyCache(p)
 			if _, _, err := s.VerifySINRDelta(context.Background(), p, pf, vc); err != nil {
@@ -343,6 +344,7 @@ func BenchmarkVerifyIncremental(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
 		vc := NewVerifyCache(p)
 		if _, _, err := s.VerifySINRDelta(context.Background(), p, pf, vc); err != nil {
 			b.Fatal(err)

@@ -137,6 +137,7 @@ func BenchmarkVerify(b *testing.B) {
 	p := sinr.DefaultParams()
 	pf := FixedPower(powers)
 	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.VerifySINR(p, pf); err != nil {
 				b.Fatal(err)
@@ -144,6 +145,7 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.VerifySINRNaive(p, pf); err != nil {
 				b.Fatal(err)

@@ -4,15 +4,18 @@
 // runner fan out over algorithms the same way they fan out over scenarios,
 // sizes, seeds and power schemes.
 //
-// Four strategies implement the interface:
+// Five strategies implement the interface:
 //
 //   - greedy      — one conflict graph over all links, first-fit colored in
-//     non-increasing length order (Sec. 3 / Theorem 2's coloring half);
-//   - lengthclass — the paper's constructive algorithm: partition the links
+//     non-increasing length order. It carries the paper's rate: first-fit
+//     is a constant-factor coloring (Theorem 2), so the period is O(χ) of
+//     G_obl / G_arb, which Theorems 1 and 3 bound by O(log log Δ) and
+//     O(log*Δ);
+//   - lengthclass — the per-class interleave baseline: partition the links
 //     into dyadic length classes, color each class's conflict graph
 //     separately (splitting slots by the Theorem-2 refinement on the G_arb
-//     graph), and round-robin interleave the per-class schedules
-//     (Theorems 1 and 3);
+//     graph), and round-robin interleave the per-class schedules. Without
+//     cross-class slot reuse its period Σ_c χ_c grows as Θ(log Δ);
 //   - dsatur      — DSATUR over the same global conflict graph, a stronger
 //     pure graph-coloring baseline;
 //   - jp          — parallel Jones–Plassmann random-priority coloring of
@@ -71,41 +74,32 @@ type Config struct {
 	// strategy allocates a fresh one. A Workspace is not safe for concurrent
 	// use; two simultaneous Schedule calls must not share one.
 	WS *coloring.Workspace
-	// Lookahead, when non-nil, serves conflict-graph construction through a
-	// γ-lookahead cache: the first build per link set is strength-annotated
-	// at the lookahead ceiling, and later attempts of a γ-escalation ladder
-	// (any γ ≤ Lookahead.GammaMax()) are materialized by a linear filter
-	// scan instead of a grid rebuild. All strategies route their builds —
-	// including lengthclass's per-class graphs — through it. Graphs are
+	// Lookahead serves conflict-graph construction through a γ-lookahead
+	// cache: the first build per link set runs at the lookahead ceiling, and
+	// later attempts of a γ-escalation ladder (any γ ≤
+	// Lookahead.GammaMax()) are materialized by a linear filter scan instead
+	// of a grid rebuild. All strategies route their builds — including
+	// lengthclass's per-class graphs — through it. nil means a throwaway
+	// Lookahead at Gamma: one build per call, no reuse. Graphs are
 	// bit-identical either way; only Diag's build-timing split changes.
 	Lookahead *conflict.Lookahead
 }
 
-// ConflictFamily materializes the γ-indexed conflict-threshold family the
-// Config selects; ConflictFamily().At(c.Gamma) is the concrete Func. The
+// ConflictFamily materializes the conflict threshold f_γ = γ·h the Config
+// selects, at γ = c.Gamma; At re-indexes it along an escalation ladder. The
 // factored (γ, h) form is what lets a lookahead build at an escalated γ
 // serve every smaller γ exactly.
-func (c Config) ConflictFamily() (conflict.Family, error) {
+func (c Config) ConflictFamily() (conflict.Func, error) {
 	switch c.Graph {
 	case GraphGamma:
-		return conflict.GammaFamily(), nil
+		return conflict.Gamma(c.Gamma), nil
 	case GraphOblivious:
-		return conflict.PowerLawFamily(c.Delta), nil
+		return conflict.PowerLaw(c.Gamma, c.Delta), nil
 	case GraphArbitrary:
-		return conflict.LogThresholdFamily(c.SINR.Alpha), nil
+		return conflict.LogThreshold(c.Gamma, c.SINR.Alpha), nil
 	default:
-		return conflict.Family{}, fmt.Errorf("scheduler: unknown graph kind %q", c.Graph)
+		return conflict.Func{}, fmt.Errorf("scheduler: unknown graph kind %q", c.Graph)
 	}
-}
-
-// ConflictFunc materializes the conflict-threshold function the Config
-// selects, at its concrete γ.
-func (c Config) ConflictFunc() (conflict.Func, error) {
-	fam, err := c.ConflictFamily()
-	if err != nil {
-		return conflict.Func{}, err
-	}
-	return fam.At(c.Gamma), nil
 }
 
 // Diag reports what a strategy did, for metrics and invariant checks.
@@ -146,14 +140,14 @@ type Diag struct {
 	// hashing plus the γ filter scan — kept out of BuildSec so the
 	// full-build vs filter split is visible in metrics. BuildReused reports
 	// that at least one conflict graph of this Schedule call was served by
-	// filtering a cached strength-annotated build instead of a fresh build.
+	// filtering a cached build instead of a fresh build.
 	BuildFilterSec float64
 	BuildReused    bool
 	// BuildStats aggregates the bucketed conflict build's pruning counters
 	// over every graph this Schedule call constructed (per-class graphs
 	// included) — the hardware-independent candidate-efficiency signal the
 	// bench regression gate tracks. Lookahead-filtered graphs report the
-	// annotated build's counters.
+	// cached build's counters.
 	BuildStats conflict.BuildStats
 }
 
@@ -215,28 +209,22 @@ func All() []Strategy {
 	return out
 }
 
-// buildGraph constructs the conflict graph of links under fam.At(gamma),
-// accumulating timings into d. With cfg.Lookahead set it routes through the
-// γ-lookahead cache (full annotated build on first contact with a link set,
-// filter scan afterwards); otherwise it is a plain BuildCtx. The resulting
-// graph is bit-identical either way.
-func buildGraph(ctx context.Context, links []geom.Link, fam conflict.Family, gamma float64,
+// buildGraph constructs the conflict graph of links under f, accumulating
+// timings into d. It routes through the γ-lookahead cache (a build on first
+// contact with a link set, a filter scan afterwards); a nil cfg.Lookahead
+// gets a throwaway one at f.Gamma, which just builds.
+func buildGraph(ctx context.Context, links []geom.Link, f conflict.Func,
 	cfg Config, d *Diag) (*conflict.Graph, error) {
-	if cfg.Lookahead != nil {
-		g, st, err := cfg.Lookahead.GraphFor(ctx, links, fam, gamma)
-		d.BuildSec += st.BuildSec
-		d.BuildFilterSec += st.FilterSec
-		if st.Reused {
-			d.BuildReused = true
-		}
-		if g != nil {
-			d.BuildStats.Add(g.Stats)
-		}
-		return g, err
+	la := cfg.Lookahead
+	if la == nil {
+		la = conflict.NewLookahead(f.Gamma)
 	}
-	t0 := time.Now()
-	g, err := conflict.BuildCtx(ctx, links, fam.At(gamma))
-	d.BuildSec += time.Since(t0).Seconds()
+	g, st, err := la.GraphFor(ctx, links, f, f.Gamma)
+	d.BuildSec += st.BuildSec
+	d.BuildFilterSec += st.FilterSec
+	if st.Reused {
+		d.BuildReused = true
+	}
 	if g != nil {
 		d.BuildStats.Add(g.Stats)
 	}
@@ -244,16 +232,14 @@ func buildGraph(ctx context.Context, links []geom.Link, fam conflict.Family, gam
 }
 
 // colorWith is the shared body of the single-graph strategies: build the
-// conflict graph for fam at cfg.Gamma (through the lookahead cache when the
-// Config carries one), color it with the supplied coloring (which gets the
+// conflict graph for f (through the Config's lookahead cache), color it with the supplied coloring (which gets the
 // Config's Workspace — or a fresh one — and a pre-sized palette, and may
 // split its time into Diag.OrderSec via the diag pointer), and emit the
 // coloring schedule. A ctx cancel surfaces from the graph build.
-func colorWith(ctx context.Context, links []geom.Link, fam conflict.Family, cfg Config,
+func colorWith(ctx context.Context, links []geom.Link, f conflict.Func, cfg Config,
 	color func(*conflict.Graph, *coloring.Workspace, []int, *Diag) int) (*schedule.Schedule, Diag, error) {
-	f := fam.At(cfg.Gamma)
 	d := Diag{Func: f}
-	g, err := buildGraph(ctx, links, fam, cfg.Gamma, cfg, &d)
+	g, err := buildGraph(ctx, links, f, cfg, &d)
 	if err != nil {
 		return nil, d, err
 	}
@@ -283,11 +269,11 @@ type greedyStrategy struct{}
 func (greedyStrategy) Name() string { return Greedy }
 
 func (greedyStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
-	fam, err := cfg.ConflictFamily()
+	f, err := cfg.ConflictFamily()
 	if err != nil {
 		return nil, Diag{}, err
 	}
-	return colorWith(ctx, links, fam, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, d *Diag) int {
+	return colorWith(ctx, links, f, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, d *Diag) int {
 		t0 := time.Now()
 		order := ws.LengthOrder(g)
 		d.OrderSec = time.Since(t0).Seconds()
@@ -301,11 +287,11 @@ type dsaturStrategy struct{}
 func (dsaturStrategy) Name() string { return DSatur }
 
 func (dsaturStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
-	fam, err := cfg.ConflictFamily()
+	f, err := cfg.ConflictFamily()
 	if err != nil {
 		return nil, Diag{}, err
 	}
-	return colorWith(ctx, links, fam, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
+	return colorWith(ctx, links, f, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
 		return ws.DSatur(g, colors)
 	})
 }
@@ -321,11 +307,11 @@ type jpStrategy struct{}
 func (jpStrategy) Name() string { return JP }
 
 func (jpStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
-	fam, err := cfg.ConflictFamily()
+	f, err := cfg.ConflictFamily()
 	if err != nil {
 		return nil, Diag{}, err
 	}
-	return colorWith(ctx, links, fam, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
+	return colorWith(ctx, links, f, cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
 		return ws.JP(g, jpSeed, colors)
 	})
 }
@@ -340,42 +326,32 @@ type naiveStrategy struct{}
 
 func (naiveStrategy) Name() string { return Naive }
 
-// NaiveFunc returns the protocol-model threshold f(x) = k·x used by the
-// naive strategy with guard-zone multiple k.
-func NaiveFunc(k float64) conflict.Func {
-	return conflict.Func{
-		Name: fmt.Sprintf("protocol(%g)", k),
-		Eval: func(x float64) float64 { return k * x },
-	}
-}
-
-// NaiveFamily is NaiveFunc in factored (γ, h) form — h(x) = x — so the
-// protocol-model strawman rides the same γ-lookahead cache as the paper's
+// NaiveFunc returns the protocol-model threshold f(x) = k·x (h(x) = x at
+// γ = k) used by the naive strategy with guard-zone multiple k. The factored
+// form lets the strawman ride the same γ-lookahead cache as the paper's
 // families.
-func NaiveFamily() conflict.Family {
-	return conflict.Family{
-		Name: "protocol",
-		H:    func(x float64) float64 { return x },
-		At:   NaiveFunc,
-	}
+func NaiveFunc(k float64) conflict.Func {
+	return conflict.Func{Name: "protocol", Gamma: k, H: func(x float64) float64 { return x }}
 }
 
 func (naiveStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
 	if _, err := cfg.ConflictFamily(); err != nil {
 		return nil, Diag{}, err // reject bogus graph kinds uniformly
 	}
-	return colorWith(ctx, links, NaiveFamily(), cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
+	return colorWith(ctx, links, NaiveFunc(cfg.Gamma), cfg, func(g *conflict.Graph, ws *coloring.Workspace, colors []int, _ *Diag) int {
 		return ws.FirstFit(g, coloring.IndexOrder(g.N()), colors)
 	})
 }
 
-// lengthClassStrategy is the paper's constructive algorithm (Theorems 1
-// and 3): partition the links into dyadic length classes — within a class
-// lengths differ by less than a factor 2, so the class's conflict graph is
-// near-uniform — color each class separately, and round-robin interleave the
-// per-class schedules. On G_arb the Theorem-2 refinement additionally splits
-// each color class into sets with I(i, S⁺ᵢ) < 1, the feasibility device of
-// Theorem 3's global-power schedule.
+// lengthClassStrategy is the per-class interleave baseline: partition the
+// links into dyadic length classes — within a class lengths differ by less
+// than a factor 2, so the class's conflict graph is near-uniform — color
+// each class separately, and round-robin interleave the per-class
+// schedules. On G_arb the Theorem-2 refinement additionally splits each
+// color class into sets with I(i, S⁺ᵢ) < 1. No slot is shared across
+// classes, so the period Σ_c χ_c grows as Θ(log Δ) with the number of
+// classes; greedy's single coloring is the strategy that carries the
+// paper's rate.
 //
 // Cost note: on G_arb the per-class coloring.Refine is quadratic in the
 // class size and re-runs on every γ escalation, so low-diversity instances
@@ -386,11 +362,10 @@ type lengthClassStrategy struct{}
 func (lengthClassStrategy) Name() string { return LengthClass }
 
 func (lengthClassStrategy) Schedule(ctx context.Context, links []geom.Link, cfg Config) (*schedule.Schedule, Diag, error) {
-	fam, err := cfg.ConflictFamily()
+	f, err := cfg.ConflictFamily()
 	if err != nil {
 		return nil, Diag{}, err
 	}
-	f := fam.At(cfg.Gamma)
 	d := Diag{Func: f}
 	if len(links) == 0 {
 		return schedule.New(links, nil), d, nil
@@ -416,9 +391,9 @@ func (lengthClassStrategy) Schedule(ctx context.Context, links []geom.Link, cfg 
 			classLinks[k] = links[i]
 		}
 		// Per-class graphs route through the lookahead cache too: the class
-		// partition is γ-independent, so on a retry each class's annotated
+		// partition is γ-independent, so on a retry each class's
 		// build is found by content hash and filtered down.
-		g, err := buildGraph(ctx, classLinks, fam, cfg.Gamma, cfg, &d)
+		g, err := buildGraph(ctx, classLinks, f, cfg, &d)
 		if err != nil {
 			return nil, d, err
 		}
@@ -464,8 +439,7 @@ func (lengthClassStrategy) Schedule(ctx context.Context, links []geom.Link, cfg 
 	}
 
 	// Round-robin interleave: round r takes slot r of every class that still
-	// has one, shortest class first — the paper's interleaving of per-class
-	// schedules into one period of length Σ_c χ_c.
+	// has one, shortest class first — one period of length Σ_c χ_c.
 	var interleaved [][]int
 	for r := 0; ; r++ {
 		any := false

@@ -646,6 +646,11 @@ type JobRequest struct {
 	TimeoutSec float64 `json:"timeout_sec"`
 }
 
+// maxN is the largest instance size a job may request: the largest n the
+// pipeline is certified at (TestMillionLinkPipeline). Larger ns entries are
+// refused with 400 before any instance runs.
+const maxN = 1_000_000
+
 // specs validates the request and expands it into the instance grid. Every
 // enum and range error is reported before any instance runs.
 func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
@@ -667,6 +672,9 @@ func (r *JobRequest) specs(maxSpecs int) ([]experiment.Spec, error) {
 	for _, n := range ns {
 		if n < 2 {
 			return nil, fmt.Errorf("ns entries must be >= 2, got %d", n)
+		}
+		if n > maxN {
+			return nil, fmt.Errorf("ns entry %d exceeds the server limit of %d links", n, maxN)
 		}
 	}
 	powers := r.Powers

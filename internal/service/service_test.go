@@ -131,6 +131,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown field", `{"scenarios":["uniform"],"bogus":1}`, "bogus"},
 		{"bad scenario", `{"scenarios":["nope"]}`, "unknown preset"},
 		{"small n", `{"scenarios":["uniform"],"ns":[1]}`, "must be >= 2"},
+		{"huge n", `{"scenarios":["uniform"],"ns":[2000000000]}`, "ns entry 2000000000 exceeds"},
+		{"n just above the limit", `{"scenarios":["uniform"],"ns":[1000001]}`, "ns entry"},
 		{"bad power", `{"scenarios":["uniform"],"powers":["warp"]}`, "unknown power"},
 		{"bad algo", `{"scenarios":["uniform"],"algos":["warp"]}`, "unknown algorithm"},
 		{"bad graph", `{"scenarios":["uniform"],"graph":"warp"}`, "unknown graph"},
@@ -168,6 +170,20 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("unknown job id: err=%v status=%d, want 404", err, resp.StatusCode)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// TestSpecsMaxNBoundary: maxN itself is a valid size; only larger entries
+// are refused.
+func TestSpecsMaxNBoundary(t *testing.T) {
+	r := JobRequest{Scenarios: []string{"uniform"}, Ns: []int{maxN}}
+	specs, err := r.specs(10)
+	if err != nil || len(specs) != 1 || specs[0].N != maxN {
+		t.Fatalf("ns=[maxN]: specs=%d err=%v, want one spec at n=%d", len(specs), err, maxN)
+	}
+	r.Ns = []int{maxN + 1}
+	if _, err := r.specs(10); err == nil || !strings.Contains(err.Error(), "ns entry") {
+		t.Fatalf("ns=[maxN+1]: err=%v, want an ns-limit error", err)
 	}
 }
 

@@ -341,6 +341,7 @@ func BenchmarkMargin(b *testing.B) {
 		slotLinks[k] = links[i]
 	}
 	b.Run("naive", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Margin(slotLinks, powers); err != nil {
 				b.Fatal(err)
@@ -348,6 +349,7 @@ func BenchmarkMargin(b *testing.B) {
 		}
 	})
 	b.Run("engine", func(b *testing.B) {
+		b.ReportAllocs()
 		eng := NewEngine(p, links)
 		sc := NewEngineScratch()
 		var st EngineStats

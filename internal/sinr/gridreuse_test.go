@@ -116,6 +116,7 @@ func TestSlotGridSizeBytes(t *testing.T) {
 // kernel_ns_per_pair: the pairwise kernel (exactAll, one rowSum row per
 // link) on the synthetic 4096-link slot.
 func BenchmarkNearFieldKernel(b *testing.B) {
+	b.ReportAllocs()
 	b.ReportMetric(MeasureKernelNsPerPair(DefaultParams(), 4096, b.N), "ns/pair")
 }
 
@@ -131,6 +132,7 @@ func BenchmarkMarginSlotWarm(b *testing.B) {
 	sc := NewEngineScratch()
 	var st EngineStats
 	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, _, err := e.MarginSlotGrid(idx, powers, sc, &st, nil, false); err != nil {
 				b.Fatal(err)
@@ -138,6 +140,7 @@ func BenchmarkMarginSlotWarm(b *testing.B) {
 		}
 	})
 	b.Run("grid-warm", func(b *testing.B) {
+		b.ReportAllocs()
 		_, grid, _, err := e.MarginSlotGrid(idx, powers, sc, &st, nil, true)
 		if err != nil || grid == nil {
 			b.Fatalf("prime: grid=%v err=%v", grid != nil, err)

@@ -1,6 +1,6 @@
 // Package stats collects the small numeric helpers shared by the experiment
 // harness: the iterated logarithm log*, double logarithm, descriptive
-// statistics, and least-squares fits used to report empirical growth rates.
+// statistics and percentiles used to report empirical growth rates.
 package stats
 
 import (
@@ -144,59 +144,3 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the 50th percentile.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// LinearFit returns the least-squares slope and intercept of y against x.
-// It is used to report empirical growth exponents, e.g. fitting
-// log(schedule length) against log log Δ. Degenerate inputs (fewer than two
-// points, or zero variance in x) return slope 0 and intercept Mean(y).
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	n := len(x)
-	if n != len(y) || n < 2 {
-		return 0, Mean(y)
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy float64
-	for i := 0; i < n; i++ {
-		dx := x[i] - mx
-		sxx += dx * dx
-		sxy += dx * (y[i] - my)
-	}
-	if sxx == 0 {
-		return 0, my
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx
-}
-
-// Histogram counts xs into nbins equal-width bins over [lo, hi]. Values
-// outside the range are clamped to the first/last bin. It returns nil when
-// nbins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// CountAtMost returns how many values are <= bound.
-func CountAtMost(xs []float64, bound float64) int {
-	n := 0
-	for _, x := range xs {
-		if x <= bound {
-			n++
-		}
-	}
-	return n
-}

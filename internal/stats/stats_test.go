@@ -101,30 +101,6 @@ func TestDescriptive(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{3, 5, 7, 9} // y = 2x + 1
-	slope, intercept := LinearFit(x, y)
-	if math.Abs(slope-2) > 1e-12 || math.Abs(intercept-1) > 1e-12 {
-		t.Errorf("LinearFit = (%g, %g), want (2, 1)", slope, intercept)
-	}
-	slope, intercept = LinearFit([]float64{5, 5}, []float64{1, 3})
-	if slope != 0 || intercept != 2 {
-		t.Errorf("degenerate LinearFit = (%g, %g), want (0, 2)", slope, intercept)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{-1, 0.1, 0.5, 0.9, 2}, 0, 1, 2)
-	// Bins are [0, 0.5) and [0.5, 1]; -1 clamps low, 2 clamps high.
-	if len(counts) != 2 || counts[0] != 2 || counts[1] != 3 {
-		t.Errorf("Histogram = %v, want [2 3] (out-of-range clamped)", counts)
-	}
-	if Histogram(nil, 0, 1, 0) != nil || Histogram(nil, 1, 0, 3) != nil {
-		t.Error("invalid Histogram parameters should return nil")
-	}
-}
-
 // TestLogStarNonFinite is the regression test for the former non-termination:
 // LogStar(+Inf) looped forever because math.Log2(+Inf) == +Inf. Non-finite
 // input must return the sentinel immediately, in both forms.

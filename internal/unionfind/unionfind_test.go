@@ -4,17 +4,14 @@ import "testing"
 
 func TestUnionFind(t *testing.T) {
 	d := New(6)
-	if d.Len() != 6 || d.Sets() != 6 {
-		t.Fatalf("fresh DSU: len=%d sets=%d", d.Len(), d.Sets())
+	if d.Len() != 6 || d.Connected(0, 1) {
+		t.Fatalf("fresh DSU: len=%d, singletons joined", d.Len())
 	}
 	if !d.Union(0, 1) || !d.Union(1, 2) {
 		t.Fatal("Union of disjoint sets returned false")
 	}
 	if d.Union(0, 2) {
 		t.Fatal("Union of joined sets returned true")
-	}
-	if d.Sets() != 4 {
-		t.Fatalf("Sets = %d, want 4", d.Sets())
 	}
 	if !d.Connected(0, 2) || d.Connected(0, 3) {
 		t.Fatal("Connected wrong")
@@ -26,7 +23,9 @@ func TestUnionFind(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Union(i, i+1)
 	}
-	if d.Sets() != 1 {
-		t.Fatalf("Sets = %d after full merge, want 1", d.Sets())
+	for i := 1; i < 6; i++ {
+		if d.Find(i) != d.Find(0) {
+			t.Fatalf("element %d not in the single set after a full merge", i)
+		}
 	}
 }
